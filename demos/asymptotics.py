@@ -5,7 +5,7 @@ exactly on the square-free integers, never drops below 6/pi^2 = 0.6079...,
 and gets arbitrarily close to that floor along the powered primorials
 n_k = (2*3*...*p_k)^k. Averaged over all n the proportion settles at
 90/pi^4 = 0.9239...: most tori are cyclic. Everything below is computed
-exactly with the linear sieve and compared to the pi constants.
+exactly with the prime-power sieve and compared to the pi constants.
 
 Run:  python3 demos/asymptotics.py
 """

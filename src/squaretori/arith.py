@@ -4,7 +4,7 @@ Euler phi, Dedekind psi, and the sum-of-divisors function, evaluated
 exactly in integer arithmetic from a prime factorization. Dedekind psi
 gets two additional, independent evaluation routes (a divisor-pair sum
 over cylinder shapes and a square-free divisor sum) so the closed form
-can be cross-checked, plus a linear-sieve batch path for whole ranges.
+can be cross-checked, plus a numpy prime-power sieve for whole ranges.
 
 All values live in the signed 64-bit range; a result that would leave it
 raises OverflowError instead of wrapping or drifting through floats.
@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
 # Largest admissible input and output value. Results above this raise.
 WORD_BOUND = 2**63 - 1
 
-# The sieve holds six Python lists before handing back numpy arrays;
-# this cap keeps the transient footprint around a few hundred MB.
+# At its peak the sieve holds six int64 arrays of limit + 1 entries,
+# about 100 MB at this cap; raise the cap for larger ranges.
 DEFAULT_MAX_SIEVE = 2_000_000
 
 
@@ -246,12 +246,15 @@ class MultiplicativeSieve:
 def sieve_multiplicative(
     limit: int, max_sieve: int = DEFAULT_MAX_SIEVE
 ) -> MultiplicativeSieve:
-    """One smallest-prime-factor linear sieve pass over [1, limit].
+    """Batch values over [1, limit] from strided numpy passes over prime powers.
 
-    Every composite is struck exactly once (O(limit) work). Multiplicative
-    values extend along the sieve by tracking the power of the smallest
-    prime factor, so the arrays agree entrywise with the single-value
-    functions. Deterministic; raises BudgetError when limit > max_sieve.
+    Each prime p <= sqrt(limit) scales every multiple of p by its p-factor,
+    then every multiple of p^k by the step from p^(k-1) to p^k. Dividing
+    n by the prime powers it collected leaves 1 or the one prime factor
+    above sqrt(limit) that an n <= limit can have, applied in a final
+    pass. All arithmetic is exact int64, so the arrays agree entrywise
+    with the single-value functions. Deterministic; raises BudgetError
+    when limit > max_sieve.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -260,45 +263,36 @@ def sieve_multiplicative(
             f"sieve of {limit} exceeds the budget of {max_sieve}; "
             "raise max_sieve to allow it"
         )
-    spf = [0] * (limit + 1)
-    low = [0] * (limit + 1)  # p^v where p = spf(n) and p^v || n
-    psi = [0] * (limit + 1)
-    sig = [0] * (limit + 1)
-    phi = [0] * (limit + 1)
-    sqf = [0] * (limit + 1)
-    psi[1] = sig[1] = phi[1] = sqf[1] = low[1] = 1
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-            psi[i] = i + 1
-            sig[i] = i + 1
-            phi[i] = i - 1
-            sqf[i] = 1
-            low[i] = i
-        for p in primes:
-            ip = i * p
-            if p > spf[i] or ip > limit:
-                break
-            spf[ip] = p
-            if i % p == 0:
-                low[ip] = low[i] * p
-                psi[ip] = psi[i] * p
-                phi[ip] = phi[i] * p
-                # peel the p-power part: sigma(i*p) = p*sigma(i) + sigma(i/p^v)
-                sig[ip] = sig[i] * p + sig[i // low[i]]
-                sqf[ip] = 0
-            else:
-                low[ip] = p
-                psi[ip] = psi[i] * (p + 1)
-                phi[ip] = phi[i] * (p - 1)
-                sig[ip] = sig[i] * (p + 1)
-                sqf[ip] = sqf[i]
-    return MultiplicativeSieve(
-        limit,
-        np.array(psi, dtype=np.int64),
-        np.array(sig, dtype=np.int64),
-        np.array(phi, dtype=np.int64),
-        np.array(sqf, dtype=np.uint8),
-    )
+    root = isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    part = np.ones(limit + 1, dtype=np.int64)  # product of p^k | n, p <= root
+    psi = np.ones(limit + 1, dtype=np.int64)
+    sig = np.ones(limit + 1, dtype=np.int64)
+    phi = np.ones(limit + 1, dtype=np.int64)
+    sqf = np.ones(limit + 1, dtype=np.uint8)
+    for p in np.flatnonzero(small).tolist():
+        psi[p::p] *= p + 1
+        sig[p::p] *= p + 1
+        phi[p::p] *= p - 1
+        part[p::p] *= p
+        q, below, upto = p * p, p + 1, p * p + p + 1
+        while q <= limit:
+            # on multiples of p^k: sigma's p-factor 1+..+p^(k-1) becomes 1+..+p^k
+            psi[q::q] *= p
+            phi[q::q] *= p
+            sig[q::q] //= below
+            sig[q::q] *= upto
+            part[q::q] *= p
+            sqf[q::q] = 0
+            q, below, upto = q * p, upto, upto * p + 1
+    rem = np.arange(limit + 1, dtype=np.int64) // part  # 1 or a prime > root
+    big = rem > 1
+    psi *= rem + big
+    sig *= rem + big
+    phi *= rem - big  # rem[0] = 0 also zeroes index 0 of all three
+    sqf[0] = 0
+    return MultiplicativeSieve(limit, psi, sig, phi, sqf)

@@ -5,7 +5,7 @@ exactly on the square-free integers, and dips toward 6/pi^2 = 1/zeta(2)
 along powered primorials. In the mean the cyclic count is 1/zeta(4) of
 the total: sum(psi)/sum(sigma) -> 90/pi^4. This module holds the zeta
 constants, the ratio in exact and factored form, the extremal sequence,
-and partial-sum sweeps backed by the linear sieve.
+and partial-sum sweeps backed by the prime-power sieve.
 """
 
 from __future__ import annotations

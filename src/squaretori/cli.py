@@ -8,6 +8,7 @@ diagnostics to stderr only. Exit codes: 0 success, 2 usage, 1 runtime.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import IO
 
@@ -224,6 +225,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; point stdout at devnull so exit flushes cleanly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, arith.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

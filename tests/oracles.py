@@ -7,6 +7,8 @@ honest ones. Nothing in this file imports from squaretori.
 
 from math import gcd, isqrt, lcm
 
+import numpy as np
+
 
 def brute_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -52,6 +54,102 @@ def brute_psi_triples(n):
             if gcd(gcd(w, h), t) == 1:
                 count += 1
     return count
+
+
+def linear_sieve(limit):
+    """Smallest-prime-factor linear sieve: (psi, sigma, phi, squarefree).
+
+    Every composite is struck exactly once (O(limit) work). Multiplicative
+    values extend along the sieve by tracking the power of the smallest
+    prime factor. Arrays have length limit + 1 with index 0 zero; the
+    first three are int64, squarefree is uint8.
+    """
+    spf = [0] * (limit + 1)
+    low = [0] * (limit + 1)  # p^v where p = spf(n) and p^v || n
+    psi = [0] * (limit + 1)
+    sig = [0] * (limit + 1)
+    phi = [0] * (limit + 1)
+    sqf = [0] * (limit + 1)
+    psi[1] = sig[1] = phi[1] = sqf[1] = low[1] = 1
+    primes: list[int] = []
+    for i in range(2, limit + 1):
+        if spf[i] == 0:
+            spf[i] = i
+            primes.append(i)
+            psi[i] = i + 1
+            sig[i] = i + 1
+            phi[i] = i - 1
+            sqf[i] = 1
+            low[i] = i
+        for p in primes:
+            ip = i * p
+            if p > spf[i] or ip > limit:
+                break
+            spf[ip] = p
+            if i % p == 0:
+                low[ip] = low[i] * p
+                psi[ip] = psi[i] * p
+                phi[ip] = phi[i] * p
+                # peel the p-power part: sigma(i*p) = p*sigma(i) + sigma(i/p^v)
+                sig[ip] = sig[i] * p + sig[i // low[i]]
+                sqf[ip] = 0
+            else:
+                low[ip] = p
+                psi[ip] = psi[i] * (p + 1)
+                phi[ip] = phi[i] * (p - 1)
+                sig[ip] = sig[i] * (p + 1)
+                sqf[ip] = sqf[i]
+    return (
+        np.array(psi, dtype=np.int64),
+        np.array(sig, dtype=np.int64),
+        np.array(phi, dtype=np.int64),
+        np.array(sqf, dtype=np.uint8),
+    )
+
+
+def _floor_blocks(x):
+    """Maximal runs lo..hi of k <= x sharing q = floor(x/k), as (lo, hi, q)."""
+    lo = 1
+    while lo <= x:
+        q = x // lo
+        hi = x // q
+        yield lo, hi, q
+        lo = hi + 1
+
+
+def _mobius_upto(m):
+    mu = [1] * (m + 1)
+    composite = bytearray(m + 1)
+    for p in range(2, m + 1):
+        if not composite[p]:
+            for k in range(p, m + 1, p):
+                composite[k] = 1
+                mu[k] = -mu[k]
+            for k in range(p * p, m + 1, p * p):
+                mu[k] = 0
+    return mu
+
+
+def divisor_sum_sigma(x):
+    """sigma(1) + ... + sigma(x) = sum of k * floor(x/k), in O(sqrt x) blocks."""
+    return sum(q * (lo + hi) * (hi - lo + 1) // 2 for lo, hi, q in _floor_blocks(x))
+
+
+def divisor_sum_psi(x):
+    """psi(1) + ... + psi(x) = sum of mu^2(d) * T(floor(x/d)), T(y) = y(y+1)/2.
+
+    psi(n) is the sum of n/d over square-free d | n, so each square-free d
+    contributes m for every multiple n = d*m <= x. Within a block of equal
+    floor(x/d) the square-free d are counted by differences of
+    Q(y) = sum of mu(k) * floor(y/k^2) over k <= sqrt(y).
+    """
+    mu = _mobius_upto(isqrt(x))
+    total = below = 0
+    for _, hi, q in _floor_blocks(x):
+        upto = sum(mu[k] * (hi // (k * k)) for k in range(1, isqrt(hi) + 1))
+        total += (upto - below) * (q * (q + 1) // 2)
+        below = upto
+    return total
 
 
 # --- integer lattices in Z^2 ------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import (
     brute_divisors,
@@ -11,6 +12,7 @@ from oracles import (
     brute_phi,
     brute_psi_triples,
     brute_sigma,
+    linear_sieve,
 )
 from squaretori.arith import (
     BudgetError,
@@ -246,6 +248,46 @@ def test_sieve_matches_single_values(sieve_100k):
         assert sv.sigma[n] == sigma(f), n
         assert sv.phi[n] == euler_phi(f), n
         assert sv.squarefree[n] == squarefree_indicator(f), n
+
+
+def assert_matches_linear_sieve(sv, reference):
+    for got, want in zip((sv.psi, sv.sigma, sv.phi, sv.squarefree), reference):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want[: sv.limit + 1]), sv.limit
+
+
+def test_sieve_matches_linear_sieve_small_limits():
+    for limit in range(1, 301):
+        assert_matches_linear_sieve(sieve_multiplicative(limit), linear_sieve(limit))
+
+
+@pytest.fixture(scope="module")
+def linear_reference():
+    # entries of the linear sieve do not depend on its limit, so one long
+    # run serves every shorter comparison as a prefix
+    return linear_sieve(997**2 + 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 997])
+def test_sieve_matches_linear_sieve_at_prime_squares(p, linear_reference):
+    for limit in (p * p - 1, p * p, p * p + 1):
+        assert_matches_linear_sieve(sieve_multiplicative(limit), linear_reference)
+
+
+def test_sieve_100k_matches_linear_sieve(sieve_100k, linear_reference):
+    assert_matches_linear_sieve(sieve_100k, linear_reference)
+
+
+@given(st.data())
+def test_sieve_entry_matches_single_values(data):
+    limit = data.draw(st.integers(1, 20_000), label="limit")
+    n = data.draw(st.integers(1, limit), label="n")
+    sv = sieve_multiplicative(limit)
+    f = factorize(n)
+    assert sv.psi[n] == dedekind_psi(f)
+    assert sv.sigma[n] == sigma(f)
+    assert sv.phi[n] == euler_phi(f)
+    assert sv.squarefree[n] == squarefree_indicator(f)
 
 
 def test_sieve_budget():

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from oracles import brute_is_prime, brute_is_squarefree, brute_psi_triples, brute_sigma
+from oracles import (
+    brute_is_prime,
+    brute_is_squarefree,
+    brute_psi_triples,
+    brute_sigma,
+    divisor_sum_psi,
+    divisor_sum_sigma,
+)
 from squaretori.arith import factorize, sieve_multiplicative
 from squaretori.asymptotics import (
     ZETA,
@@ -175,6 +182,22 @@ def test_partial_sums_against_brute_force():
 
 def test_partial_sums_accepts_longer_sieve(sieve_100k):
     assert partial_sums(5000, sieve=sieve_100k) == partial_sums(5000)
+
+
+def test_divisor_sums_match_small_sieve_sums():
+    sv = sieve_multiplicative(500)
+    cum_psi = sv.psi.cumsum()
+    cum_sigma = sv.sigma.cumsum()
+    for x in range(1, 501):
+        assert divisor_sum_psi(x) == cum_psi[x], x
+        assert divisor_sum_sigma(x) == cum_sigma[x], x
+
+
+@pytest.mark.parametrize("x", [10, 10**3, 10**4, 10**5, 10**6])
+def test_partial_sums_match_divisor_sums(x, sieve_million):
+    record = partial_sums(x, sieve=sieve_million)
+    assert record.cum_psi == divisor_sum_psi(x)
+    assert record.cum_sigma == divisor_sum_sigma(x)
 
 
 def test_sweep_stream_matches_partial_sums(sieve_100k):

@@ -245,3 +245,17 @@ def test_module_entry_point():
     assert result.returncode == 0
     assert result.stderr == ""
     assert json.loads(result.stdout)["psi"] == 6
+
+
+def test_closed_pipe_exits_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "squaretori", "sweep", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"n psi sigma")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert stderr == ""
