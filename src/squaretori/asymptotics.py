@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,8 +138,7 @@ def extremal_sequence_rho(k: int) -> float:
     return rho_factored([(p, k) for p in first_primes(k)])
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """Census row at n: exact counts, their ratio, and running totals."""
 
     n: int
@@ -199,12 +198,14 @@ def sweep_stream(
     sig = sv.sigma[: limit + 1].tolist()
     cum_psi = 0
     cum_sigma = 0
+    new = tuple.__new__  # skips the per-row Python-level NamedTuple constructor
     for n in range(1, limit + 1):
-        cum_psi += psi[n]
-        cum_sigma += sig[n]
-        yield SweepRecord(
-            n, psi[n], sig[n], psi[n] / sig[n], cum_psi, cum_sigma,
-            cum_psi / cum_sigma,
+        p = psi[n]
+        s = sig[n]
+        cum_psi += p
+        cum_sigma += s
+        yield new(
+            SweepRecord, (n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma)
         )
 
 

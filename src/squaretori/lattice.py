@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .arith import BudgetError, divisors, factorize, sigma
+from .arith import WORD_BOUND, BudgetError, divisors, factorize, sigma
 
 # enumerate_lattices refuses an index whose total triple count exceeds this
 DEFAULT_MAX_TRIPLES = 10_000_000
@@ -29,7 +29,11 @@ class RankError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """Two integer vectors spanning a finite-index sublattice of Z^2."""
+    """Two integer vectors spanning a finite-index sublattice of Z^2.
+
+    Coordinates and the index must lie in the signed 64-bit range
+    (OverflowError otherwise).
+    """
 
     u: tuple[int, int]
     v: tuple[int, int]
@@ -37,7 +41,10 @@ class GeneratorPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", (int(self.u[0]), int(self.u[1])))
         object.__setattr__(self, "v", (int(self.v[0]), int(self.v[1])))
-        if self.u[0] * self.v[1] - self.u[1] * self.v[0] == 0:
+        det = self.u[0] * self.v[1] - self.u[1] * self.v[0]
+        if max(map(abs, self.u + self.v)) > WORD_BOUND or abs(det) > WORD_BOUND:
+            raise OverflowError(f"generators {self.u}, {self.v} leave the 64-bit range")
+        if det == 0:
             raise RankError(
                 f"generators {self.u} and {self.v} are linearly dependent"
             )

@@ -189,6 +189,159 @@ def test_sweep_formats_agree(capsys):
         assert float(row[6]) == payload["cum_ratio"]
 
 
+# --- byte-exact goldens: every command in every format ---------------------
+
+GOLDEN = {
+    (("count", "12"), "plain"): (
+        "n=12 psi=24 sigma=28 rho=0.857142857143\n"
+    ),
+    (("count", "12"), "csv"): (
+        "n,psi,sigma,rho\n"
+        "12,24,28,0.857142857143\n"
+    ),
+    (("count", "12"), "json"): (
+        '{"n":12,"psi":24,"sigma":28,"rho":0.857142857143}\n'
+    ),
+    (("enumerate", "4"), "plain"): (
+        "w h t cyclic\n"
+        "1 4 0 true\n"
+        "2 2 0 false\n"
+        "2 2 1 true\n"
+        "4 1 0 true\n"
+        "4 1 1 true\n"
+        "4 1 2 true\n"
+        "4 1 3 true\n"
+    ),
+    (("enumerate", "4"), "csv"): (
+        "w,h,t,cyclic\n"
+        "1,4,0,true\n"
+        "2,2,0,false\n"
+        "2,2,1,true\n"
+        "4,1,0,true\n"
+        "4,1,1,true\n"
+        "4,1,2,true\n"
+        "4,1,3,true\n"
+    ),
+    (("enumerate", "4"), "json"): (
+        '{"w":1,"h":4,"t":0,"cyclic":true}\n'
+        '{"w":2,"h":2,"t":0,"cyclic":false}\n'
+        '{"w":2,"h":2,"t":1,"cyclic":true}\n'
+        '{"w":4,"h":1,"t":0,"cyclic":true}\n'
+        '{"w":4,"h":1,"t":1,"cyclic":true}\n'
+        '{"w":4,"h":1,"t":2,"cyclic":true}\n'
+        '{"w":4,"h":1,"t":3,"cyclic":true}\n'
+    ),
+    (("enumerate", "4", "--cyclic-only"), "plain"): (
+        "w h t cyclic\n"
+        "1 4 0 true\n"
+        "2 2 1 true\n"
+        "4 1 0 true\n"
+        "4 1 1 true\n"
+        "4 1 2 true\n"
+        "4 1 3 true\n"
+    ),
+    (("enumerate", "4", "--cyclic-only"), "csv"): (
+        "w,h,t,cyclic\n"
+        "1,4,0,true\n"
+        "2,2,1,true\n"
+        "4,1,0,true\n"
+        "4,1,1,true\n"
+        "4,1,2,true\n"
+        "4,1,3,true\n"
+    ),
+    (("enumerate", "4", "--cyclic-only"), "json"): (
+        '{"w":1,"h":4,"t":0,"cyclic":true}\n'
+        '{"w":2,"h":2,"t":1,"cyclic":true}\n'
+        '{"w":4,"h":1,"t":0,"cyclic":true}\n'
+        '{"w":4,"h":1,"t":1,"cyclic":true}\n'
+        '{"w":4,"h":1,"t":2,"cyclic":true}\n'
+        '{"w":4,"h":1,"t":3,"cyclic":true}\n'
+    ),
+    (("classify", "2", "4", "1", "5"), "plain"): (
+        "w=6 h=1 t=5 n=6 content=1 d1=1 d2=6 cyclic=true\n"
+    ),
+    (("classify", "2", "4", "1", "5"), "csv"): (
+        "w,h,t,n,content,d1,d2,cyclic\n"
+        "6,1,5,6,1,1,6,true\n"
+    ),
+    (("classify", "2", "4", "1", "5"), "json"): (
+        '{"w":6,"h":1,"t":5,"n":6,"content":1,"d1":1,"d2":6,"cyclic":true}\n'
+    ),
+    (("sweep", "10"), "plain"): (
+        "n psi sigma rho cum_psi cum_sigma cum_ratio\n"
+        "1 1 1 1 1 1 1\n"
+        "2 3 3 1 4 4 1\n"
+        "3 4 4 1 8 8 1\n"
+        "4 6 7 0.857142857143 14 15 0.933333333333\n"
+        "5 6 6 1 20 21 0.952380952381\n"
+        "6 12 12 1 32 33 0.969696969697\n"
+        "7 8 8 1 40 41 0.975609756098\n"
+        "8 12 15 0.8 52 56 0.928571428571\n"
+        "9 12 13 0.923076923077 64 69 0.927536231884\n"
+        "10 18 18 1 82 87 0.942528735632\n"
+        "final cum_ratio=0.942528735632 deviation=0.0185903327106\n"
+    ),
+    (("sweep", "10"), "csv"): (
+        "n,psi,sigma,rho,cum_psi,cum_sigma,cum_ratio\n"
+        "1,1,1,1,1,1,1\n"
+        "2,3,3,1,4,4,1\n"
+        "3,4,4,1,8,8,1\n"
+        "4,6,7,0.857142857143,14,15,0.933333333333\n"
+        "5,6,6,1,20,21,0.952380952381\n"
+        "6,12,12,1,32,33,0.969696969697\n"
+        "7,8,8,1,40,41,0.975609756098\n"
+        "8,12,15,0.8,52,56,0.928571428571\n"
+        "9,12,13,0.923076923077,64,69,0.927536231884\n"
+        "10,18,18,1,82,87,0.942528735632\n"
+        "# final cum_ratio=0.942528735632 deviation=0.0185903327106\n"
+    ),
+    (("sweep", "10"), "json"): (
+        '{"n":1,"psi":1,"sigma":1,"rho":1,"cum_psi":1,"cum_sigma":1,"cum_ratio":1}\n'
+        '{"n":2,"psi":3,"sigma":3,"rho":1,"cum_psi":4,"cum_sigma":4,"cum_ratio":1}\n'
+        '{"n":3,"psi":4,"sigma":4,"rho":1,"cum_psi":8,"cum_sigma":8,"cum_ratio":1}\n'
+        '{"n":4,"psi":6,"sigma":7,"rho":0.857142857143'
+        ',"cum_psi":14,"cum_sigma":15,"cum_ratio":0.933333333333}\n'
+        '{"n":5,"psi":6,"sigma":6,"rho":1'
+        ',"cum_psi":20,"cum_sigma":21,"cum_ratio":0.952380952381}\n'
+        '{"n":6,"psi":12,"sigma":12,"rho":1'
+        ',"cum_psi":32,"cum_sigma":33,"cum_ratio":0.969696969697}\n'
+        '{"n":7,"psi":8,"sigma":8,"rho":1'
+        ',"cum_psi":40,"cum_sigma":41,"cum_ratio":0.975609756098}\n'
+        '{"n":8,"psi":12,"sigma":15,"rho":0.8'
+        ',"cum_psi":52,"cum_sigma":56,"cum_ratio":0.928571428571}\n'
+        '{"n":9,"psi":12,"sigma":13,"rho":0.923076923077'
+        ',"cum_psi":64,"cum_sigma":69,"cum_ratio":0.927536231884}\n'
+        '{"n":10,"psi":18,"sigma":18,"rho":1'
+        ',"cum_psi":82,"cum_sigma":87,"cum_ratio":0.942528735632}\n'
+        '{"final_cum_ratio":0.942528735632,"deviation":0.0185903327106}\n'
+    ),
+    (("extremal", "3"), "plain"): (
+        "k rho deviation\n"
+        "1 1 0.392072898146\n"
+        "2 0.791208791209 0.183281689355\n"
+        "3 0.692307692308 0.0843805904537\n"
+    ),
+    (("extremal", "3"), "csv"): (
+        "k,rho,deviation\n"
+        "1,1,0.392072898146\n"
+        "2,0.791208791209,0.183281689355\n"
+        "3,0.692307692308,0.0843805904537\n"
+    ),
+    (("extremal", "3"), "json"): (
+        '{"k":1,"rho":1,"deviation":0.392072898146}\n'
+        '{"k":2,"rho":0.791208791209,"deviation":0.183281689355}\n'
+        '{"k":3,"rho":0.692307692308,"deviation":0.0843805904537}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,fmt", list(GOLDEN))
+def test_output_is_byte_exact(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert code == 0 and err == ""
+    assert out == GOLDEN[argv, fmt]
+
+
 # --- errors and exit codes -----------------------------------------------------
 
 def test_zero_is_a_domain_error(capsys):
@@ -204,6 +357,12 @@ def test_overflow_is_reported(capsys):
 def test_rank_error_exit(capsys):
     code, out, err = run_cli(capsys, "classify", "1", "0", "2", "0")
     assert code == 1 and err != ""
+
+
+def test_classify_outside_64_bits_exit(capsys):
+    code, out, err = run_cli(capsys, "classify", str(2**40), "0", "0", str(2**40))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_enumeration_budget_exit(capsys):

@@ -74,6 +74,15 @@ def test_rank_errors():
         GeneratorPair((0, 0), (0, 0))
 
 
+def test_generators_outside_64_bits_overflow():
+    with pytest.raises(OverflowError):
+        GeneratorPair((2**40, 0), (0, 2**40))  # index 2^80
+    with pytest.raises(OverflowError):
+        GeneratorPair((2**63, 1), (2**63 + 1, 1))  # index 1, coordinate 2^63
+    assert lattice_index(GeneratorPair((2**62, 1), (2**62 + 1, 1))) == 1
+    assert lattice_index(GeneratorPair((2**31, 0), (0, 2**31 - 1))) == 2**62 - 2**31
+
+
 def test_type_validation():
     with pytest.raises(ValueError):
         HnfLattice(0, 1, 0)
