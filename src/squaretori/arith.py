@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest admissible input and output value. Results above this raise.
 WORD_BOUND = 2**63 - 1
@@ -256,6 +258,8 @@ def sieve_multiplicative(
     with the single-value functions. Deterministic; raises BudgetError
     when limit > max_sieve.
     """
+    import numpy as np  # loaded here, so paths without a sieve never import it
+
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > max_sieve:

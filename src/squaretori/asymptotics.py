@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .arith import (
     DEFAULT_MAX_SIEVE,
     MultiplicativeSieve,
@@ -219,6 +217,8 @@ def qd2_partial_sum(
     Converges to zeta(2)/zeta(4) = 15/pi^2; the omitted tail is below
     1/limit.
     """
+    import numpy as np
+
     sv = _sieve_for(limit, sieve, max_sieve)
     d = np.arange(limit + 1, dtype=np.float64)
     d[0] = 1.0  # avoid 0/0; index 0 is padding and excluded below

@@ -68,8 +68,8 @@ def _cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
     is_cyclic = lattice.is_cyclic
-    rows = (
-        (lat.width, lat.height, lat.twist, _BOOL[cyclic])
+    rows = (  # an HnfLattice is the tuple (w, h, t), so + appends the flag
+        lat + (_BOOL[cyclic],)
         for lat in lattice.enumerate_lattices(args.n, max_triples=args.max_triples)
         if (cyclic := is_cyclic(lat)) or not args.cyclic_only
     )

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import WORD_BOUND, BudgetError, divisors, factorize, sigma
 
@@ -50,24 +50,30 @@ class GeneratorPair:
             )
 
 
-@dataclass(frozen=True)
-class HnfLattice:
-    """Cylinder coordinates of a square-tiled torus.
-
-    width and height are the cylinder circumference and height, twist the
-    horizontal offset used to glue top to bottom; the tiled torus has
-    width * height squares.
-    """
-
+class _Cylinder(NamedTuple):
     width: int
     height: int
     twist: int
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
+
+class HnfLattice(_Cylinder):
+    """Cylinder coordinates of a square-tiled torus.
+
+    width and height are the cylinder circumference and height, twist the
+    horizontal offset used to glue top to bottom; the tiled torus has
+    width * height squares. A named tuple, so it equals the plain tuple
+    (width, height, twist).
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
+
+    def __new__(cls, width: int, height: int, twist: int) -> HnfLattice:
+        if width < 1 or height < 1:
             raise ValueError("width and height must be positive")
-        if not 0 <= self.twist < self.width:
+        if not 0 <= twist < width:
             raise ValueError("twist must satisfy 0 <= twist < width")
+        return tuple.__new__(cls, (width, height, twist))
 
     @property
     def index(self) -> int:
@@ -207,10 +213,12 @@ def enumerate_lattices(
         )
 
     def generate() -> Iterator[HnfLattice]:
+        new = tuple.__new__  # skips validation: twists from range(1, width) meet it
         for width in divisors(f):
             height = n // width
-            for twist in range(width):
-                yield HnfLattice(width, height, twist)
+            yield HnfLattice(width, height, 0)  # validates the width once
+            for twist in range(1, width):
+                yield new(HnfLattice, (width, height, twist))
 
     return generate()
 

@@ -342,6 +342,41 @@ def test_output_is_byte_exact(capsys, argv, fmt):
     assert out == GOLDEN[argv, fmt]
 
 
+# --- numpy is loaded only by the sieve ---------------------------------------
+
+# runs one command in a fresh interpreter, then reports on stderr whether
+# numpy was imported
+_PROBE = """\
+import sys
+from squaretori.cli import main
+code = main(sys.argv[1:])
+print("numpy" in sys.modules, code, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "360"),
+        ("enumerate", "12"),
+        ("classify", "2", "4", "1", "5"),
+        ("extremal", "5"),
+        ("sweep", "10"),
+    ],
+)
+def test_only_the_sieve_loads_numpy(capsys, argv):
+    _, expected, _ = run_cli(capsys, *argv)
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    loads_numpy = argv[0] == "sweep"
+    assert result.stderr == f"{loads_numpy} 0\n"
+    assert result.stdout == expected
+
+
 # --- errors and exit codes -----------------------------------------------------
 
 def test_zero_is_a_domain_error(capsys):

@@ -1,7 +1,9 @@
+import pickle
 import random
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import (
     all_hnf_matches,
@@ -14,7 +16,7 @@ from oracles import (
     perms_commute,
     same_lattice,
 )
-from squaretori.arith import BudgetError, dedekind_psi, factorize, sigma
+from squaretori.arith import BudgetError, dedekind_psi, divisors, factorize, sigma
 from squaretori.lattice import (
     GeneratorPair,
     HnfLattice,
@@ -93,6 +95,22 @@ def test_type_validation():
     assert HnfLattice(3, 2, 1).index == 6
     assert QuotientShape(1, 6).is_cyclic
     assert not QuotientShape(2, 2).is_cyclic
+
+
+def test_hnf_lattice_is_an_immutable_named_tuple():
+    lat = HnfLattice(3, 2, 1)
+    assert lat == (3, 2, 1) and tuple(lat) == (3, 2, 1)
+    assert repr(lat) == "HnfLattice(width=3, height=2, twist=1)"
+    with pytest.raises(AttributeError):
+        lat.twist = 0
+    with pytest.raises(AttributeError):
+        lat.label = "x"
+    copy = pickle.loads(pickle.dumps(lat))
+    assert type(copy) is HnfLattice and copy == lat
+    assert hash(copy) == hash(lat) == hash((3, 2, 1))
+    assert lat._replace(twist=2) == HnfLattice(3, 2, 2)
+    with pytest.raises(ValueError):
+        lat._replace(twist=3)  # _replace validates like the constructor
 
 
 # --- canonical form -------------------------------------------------------
@@ -216,6 +234,16 @@ def test_square_free_indices_are_all_cyclic():
     for n in range(1, 501):
         if brute_is_squarefree(n):
             assert all(is_cyclic(lat) for lat in enumerate_lattices(n)), n
+
+
+@given(st.integers(min_value=1, max_value=5000))
+def test_enumerate_matches_validated_construction(n):
+    validated = [
+        HnfLattice(w, n // w, t) for w in divisors(factorize(n)) for t in range(w)
+    ]
+    lats = list(enumerate_lattices(n))
+    assert lats == validated
+    assert all(type(lat) is HnfLattice for lat in lats)
 
 
 def test_enumerate_budget():
