@@ -23,8 +23,8 @@ if TYPE_CHECKING:
 # Largest admissible input and output value. Results above this raise.
 WORD_BOUND = 2**63 - 1
 
-# At its peak the sieve holds six int64 arrays of limit + 1 entries,
-# about 100 MB at this cap; raise the cap for larger ranges.
+# At its peak the sieve holds four int64 arrays of limit + 1 entries,
+# about 64 MB at this cap; raise the cap for larger ranges.
 DEFAULT_MAX_SIEVE = 2_000_000
 
 
@@ -232,16 +232,15 @@ def psi_prime(n: int) -> int:
 
 @dataclass(frozen=True)
 class MultiplicativeSieve:
-    """Batch values psi[n], sigma[n], phi[n], squarefree[n] for n <= limit.
+    """Batch values psi[n], sigma[n], squarefree[n] for n <= limit.
 
     Arrays have length limit + 1 with index 0 left as zero padding, so
-    array[n] is the value at n. psi/sigma/phi are int64, squarefree uint8.
+    array[n] is the value at n. psi/sigma are int64, squarefree uint8.
     """
 
     limit: int
     psi: np.ndarray
     sigma: np.ndarray
-    phi: np.ndarray
     squarefree: np.ndarray
 
 
@@ -276,27 +275,24 @@ def sieve_multiplicative(
     part = np.ones(limit + 1, dtype=np.int64)  # product of p^k | n, p <= root
     psi = np.ones(limit + 1, dtype=np.int64)
     sig = np.ones(limit + 1, dtype=np.int64)
-    phi = np.ones(limit + 1, dtype=np.int64)
     sqf = np.ones(limit + 1, dtype=np.uint8)
     for p in np.flatnonzero(small).tolist():
         psi[p::p] *= p + 1
         sig[p::p] *= p + 1
-        phi[p::p] *= p - 1
         part[p::p] *= p
         q, below, upto = p * p, p + 1, p * p + p + 1
         while q <= limit:
             # on multiples of p^k: sigma's p-factor 1+..+p^(k-1) becomes 1+..+p^k
             psi[q::q] *= p
-            phi[q::q] *= p
             sig[q::q] //= below
             sig[q::q] *= upto
             part[q::q] *= p
             sqf[q::q] = 0
             q, below, upto = q * p, upto, upto * p + 1
-    rem = np.arange(limit + 1, dtype=np.int64) // part  # 1 or a prime > root
-    big = rem > 1
-    psi *= rem + big
-    sig *= rem + big
-    phi *= rem - big  # rem[0] = 0 also zeroes index 0 of all three
+    rem = np.arange(limit + 1, dtype=np.int64)
+    rem //= part  # 1 or a prime q > root
+    rem += rem > 1  # q becomes its factor q + 1; rem[0] = 0 zeroes index 0
+    psi *= rem
+    sig *= rem
     sqf[0] = 0
-    return MultiplicativeSieve(limit, psi, sig, phi, sqf)
+    return MultiplicativeSieve(limit, psi, sig, sqf)

@@ -185,6 +185,9 @@ def partial_sums(
     )
 
 
+_BLOCK = 65536  # sieve entries sweep_stream turns into Python ints at a time
+
+
 def sweep_stream(
     limit: int,
     sieve: MultiplicativeSieve | None = None,
@@ -192,19 +195,18 @@ def sweep_stream(
 ) -> Iterator[SweepRecord]:
     """All census rows 1..limit in order, from one sieve pass."""
     sv = _sieve_for(limit, sieve, max_sieve)
-    psi = sv.psi[: limit + 1].tolist()
-    sig = sv.sigma[: limit + 1].tolist()
     cum_psi = 0
     cum_sigma = 0
     new = tuple.__new__  # skips the per-row Python-level NamedTuple constructor
-    for n in range(1, limit + 1):
-        p = psi[n]
-        s = sig[n]
-        cum_psi += p
-        cum_sigma += s
-        yield new(
-            SweepRecord, (n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma)
-        )
+    for low in range(1, limit + 1, _BLOCK):
+        top = min(low + _BLOCK, limit + 1)
+        psi, sig = sv.psi[low:top].tolist(), sv.sigma[low:top].tolist()
+        for n, p, s in zip(range(low, top), psi, sig):
+            cum_psi += p
+            cum_sigma += s
+            yield new(
+                SweepRecord, (n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma)
+            )
 
 
 def qd2_partial_sum(
@@ -222,5 +224,7 @@ def qd2_partial_sum(
     sv = _sieve_for(limit, sieve, max_sieve)
     d = np.arange(limit + 1, dtype=np.float64)
     d[0] = 1.0  # avoid 0/0; index 0 is padding and excluded below
-    terms = sv.squarefree[: limit + 1].astype(np.float64) / (d * d)
+    d *= d
+    terms = sv.squarefree[: limit + 1].astype(np.float64)
+    terms /= d
     return float(terms[1:].sum())

@@ -230,7 +230,6 @@ def test_sieve_tiny():
     sv = sieve_multiplicative(1)
     assert sv.psi.tolist() == [0, 1]
     assert sv.sigma.tolist() == [0, 1]
-    assert sv.phi.tolist() == [0, 1]
     assert sv.squarefree.tolist() == [0, 1]
 
 
@@ -246,12 +245,12 @@ def test_sieve_matches_single_values(sieve_100k):
         f = factorize(n)
         assert sv.psi[n] == dedekind_psi(f), n
         assert sv.sigma[n] == sigma(f), n
-        assert sv.phi[n] == euler_phi(f), n
         assert sv.squarefree[n] == squarefree_indicator(f), n
 
 
 def assert_matches_linear_sieve(sv, reference):
-    for got, want in zip((sv.psi, sv.sigma, sv.phi, sv.squarefree), reference):
+    psi, sig, _phi, sqf = reference  # the sieve keeps no phi column
+    for got, want in zip((sv.psi, sv.sigma, sv.squarefree), (psi, sig, sqf)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want[: sv.limit + 1]), sv.limit
 
@@ -286,7 +285,6 @@ def test_sieve_entry_matches_single_values(data):
     f = factorize(n)
     assert sv.psi[n] == dedekind_psi(f)
     assert sv.sigma[n] == sigma(f)
-    assert sv.phi[n] == euler_phi(f)
     assert sv.squarefree[n] == squarefree_indicator(f)
 
 
@@ -300,7 +298,6 @@ def test_sieve_budget():
 def test_bound_ordering(sieve_100k):
     sv = sieve_100k
     n = np.arange(sv.limit + 1, dtype=np.int64)
-    assert (sv.phi[1:] <= n[1:]).all()
     assert (n[1:] <= sv.psi[1:]).all()
     assert (sv.psi[1:] <= sv.sigma[1:]).all()
     equal = sv.psi[1:] == sv.sigma[1:]

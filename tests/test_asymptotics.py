@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -210,6 +211,24 @@ def test_sweep_stream_matches_partial_sums(sieve_100k):
         assert r.rho == r.psi / r.sigma
 
 
+@pytest.mark.parametrize("limit", [65535, 65536, 65537, 131073])
+def test_sweep_stream_across_block_edges(limit, sieve_million):
+    sv = sieve_multiplicative(limit)
+    expected = []
+    cum_psi = cum_sigma = 0
+    for n in range(1, limit + 1):
+        p, s = int(sv.psi[n]), int(sv.sigma[n])
+        cum_psi += p
+        cum_sigma += s
+        expected.append((n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma))
+    for sieve in (sv, sieve_million):
+        records = list(sweep_stream(limit, sieve=sieve))
+        assert records == expected
+        for n in {65535, 65536, 65537, 65538, limit}:
+            if n <= limit:
+                assert records[n - 1] == partial_sums(n, sieve=sv)
+
+
 def test_mean_order_deviation_shrinks(sieve_million):
     devs = []
     for limit in (10**3, 10**4, 10**5, 10**6):
@@ -249,6 +268,22 @@ def test_qd2_converges_with_tail_bound(sieve_100k):
     assert qd2_partial_sum(10**4, sieve=sieve_100k) <= qd2_partial_sum(
         10**5, sieve=sieve_100k
     )
+
+
+def qd2_reference(limit, sv):
+    # the same IEEE operations as qd2_partial_sum, through three temporaries
+    d = np.arange(limit + 1, dtype=np.float64)
+    d[0] = 1.0
+    terms = sv.squarefree[: limit + 1].astype(np.float64) / (d * d)
+    return float(terms[1:].sum())
+
+
+@pytest.mark.parametrize("limit", [1, 2, 10, 999, 65537, 10**6])
+def test_qd2_is_bit_identical_to_the_reference(limit, sieve_million):
+    exact = sieve_multiplicative(limit)
+    longer = sieve_million if limit < 10**6 else sieve_multiplicative(limit + 3456)
+    for sv in (exact, longer):
+        assert qd2_partial_sum(limit, sieve=sv) == qd2_reference(limit, sv)
 
 
 def test_partial_sums_domain():

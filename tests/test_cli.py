@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -340,6 +341,22 @@ def test_output_is_byte_exact(capsys, argv, fmt):
     code, out, err = run_cli(capsys, "--format", fmt, *argv)
     assert code == 0 and err == ""
     assert out == GOLDEN[argv, fmt]
+
+
+# sha256 of the whole stdout of `sweep 131073`, whose rows cross two block
+# edges of sweep_stream (65536 and 131072)
+SWEEP_131073_SHA256 = {
+    "plain": "b3bbcba628c8ac14ff4e2c9facde9070ea173eda19f3c0fb584dc32b3d2cc42b",
+    "csv": "d71cb9ef3ac08a771f806d8f48b7aeefd663715623c519a1dc4d5ccac3271803",
+    "json": "5e2d8edfbbf96d21d452aa1b4e480583c82c267976c80a199b348d8d5d9877ad",
+}
+
+
+@pytest.mark.parametrize("fmt", list(SWEEP_131073_SHA256))
+def test_sweep_across_block_edges_is_byte_exact(capsys, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, "sweep", "131073")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_131073_SHA256[fmt]
 
 
 # --- numpy is loaded only by the sieve ---------------------------------------
