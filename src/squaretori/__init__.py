@@ -35,7 +35,6 @@ from .asymptotics import (
     rho,
     rho_factored,
     sweep_stream,
-    zeta_constants,
     zeta_series,
 )
 from .lattice import (
@@ -96,6 +95,5 @@ __all__ = [
     "squarefree_indicator",
     "sweep_stream",
     "to_permutation_pair",
-    "zeta_constants",
     "zeta_series",
 ]

@@ -13,7 +13,6 @@ raises OverflowError instead of wrapping or drifting through floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
@@ -102,6 +101,13 @@ class PrimeFactorization:
         return len(self.factors)
 
 
+def _checked(value: int, name: str, n: int) -> int:
+    """value itself, or OverflowError when it leaves the signed 64-bit range."""
+    if value > WORD_BOUND:
+        raise OverflowError(f"{name}({n}) exceeds the 64-bit bound")
+    return value
+
+
 def factorize(n: int) -> PrimeFactorization:
     """Factor n by deterministic trial division up to sqrt(n).
 
@@ -152,9 +158,7 @@ def dedekind_psi(f: PrimeFactorization) -> int:
     value = f.n
     for p, _ in f.factors:
         value = value * (p + 1) // p
-    if value > WORD_BOUND:
-        raise OverflowError(f"psi({f.n}) exceeds the 64-bit bound")
-    return value
+    return _checked(value, "psi", f.n)
 
 
 def sigma(f: PrimeFactorization) -> int:
@@ -162,9 +166,7 @@ def sigma(f: PrimeFactorization) -> int:
     value = 1
     for p, a in f.factors:
         value *= (p ** (a + 1) - 1) // (p - 1)
-    if value > WORD_BOUND:
-        raise OverflowError(f"sigma({f.n}) exceeds the 64-bit bound")
-    return value
+    return _checked(value, "sigma", f.n)
 
 
 def squarefree_indicator(f: PrimeFactorization) -> int:
@@ -186,27 +188,26 @@ def divisors(f: PrimeFactorization) -> list[int]:
     return divs
 
 
-@lru_cache(maxsize=8192)
-def _phi_of(m: int) -> int:
-    # gcd(w, n/w) values repeat heavily across a sweep; cache the totients
-    return euler_phi(factorize(m))
-
-
 def psi_via_cylinders(n: int) -> int:
     """Cyclic-torus count as a sum over horizontal cylinder shapes.
 
     Each factorization n = w*h contributes (w / gcd(w,h)) * phi(gcd(w,h))
     twists whose quotient is cyclic; summing over all divisor pairs must
-    reproduce dedekind_psi.
+    reproduce dedekind_psi. phi(g) is the product formula over the primes
+    dividing n at least twice (g^2 | n, so no other prime divides g), so
+    n is factored once and dedekind_psi is never called.
     """
     f = factorize(n)
+    repeated = [p for p, a in f.factors if a > 1]
     total = 0
     for w in divisors(f):
         g = gcd(w, n // w)
-        total += w // g * _phi_of(g)
-    if total > WORD_BOUND:
-        raise OverflowError(f"psi({n}) exceeds the 64-bit bound")
-    return total
+        phi = g
+        for p in repeated:
+            if g % p == 0:
+                phi = phi // p * (p - 1)
+        total += w // g * phi
+    return _checked(total, "psi", n)
 
 
 def psi_prime(n: int) -> int:
@@ -225,9 +226,7 @@ def psi_prime(n: int) -> int:
             for k in range(a + 1)
         ]
     total = sum(n // d for d, squarefree in terms if squarefree)
-    if total > WORD_BOUND:
-        raise OverflowError(f"psi({n}) exceeds the 64-bit bound")
-    return total
+    return _checked(total, "psi", n)
 
 
 @dataclass(frozen=True)

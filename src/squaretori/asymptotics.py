@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import (
-    DEFAULT_MAX_SIEVE,
     MultiplicativeSieve,
     PrimeFactorization,
     dedekind_psi,
@@ -35,27 +34,21 @@ class ZetaConstants:
     ratio_z2_z4: float
 
 
-def zeta_constants() -> ZetaConstants:
-    """Closed forms: zeta(2) = pi^2/6 and zeta(4) = pi^4/90."""
-    z2 = math.pi**2 / 6
-    z4 = math.pi**4 / 90
-    return ZetaConstants(z2, z4, 1 / z2, 1 / z4, z2 / z4)
+_Z2, _Z4 = math.pi**2 / 6, math.pi**4 / 90  # closed forms of zeta(2), zeta(4)
+ZETA = ZetaConstants(_Z2, _Z4, 1 / _Z2, 1 / _Z4, _Z2 / _Z4)
 
 
-ZETA = zeta_constants()
-
-
-def zeta_series(s: int, terms: int = 50) -> float:
+def zeta_series(s: int) -> float:
     """Direct series for zeta(s), s >= 2, with an Euler-Maclaurin tail.
 
-    Sums 1/k^s for k < M = terms + 1 and estimates the rest by
+    Sums the first 50 terms 1/k^s, k < M = 51, and estimates the rest by
     M^(1-s)/(s-1) + M^-s/2 + s M^(-s-1)/12 - s(s+1)(s+2) M^(-s-3)/720;
-    the first omitted correction is below 3e-14 for terms >= 50. Used to
-    cross-validate the closed-form constants.
+    the first omitted correction is below 3e-14. Used to cross-validate
+    the closed-form constants.
     """
     if s < 2:
         raise ValueError("series evaluation requires s >= 2")
-    m = terms + 1
+    m = 51
     head = sum(1.0 / k**s for k in range(1, m))
     tail = (
         m ** (1 - s) / (s - 1)
@@ -116,6 +109,8 @@ _PRIMES = [2, 3, 5, 7, 11, 13]
 
 def first_primes(k: int) -> list[int]:
     """The first k primes, grown on demand by trial division."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     while len(_PRIMES) < k:
         c = _PRIMES[-1] + 2
         while any(c % p == 0 for p in _PRIMES if p * p <= c):
@@ -148,28 +143,22 @@ class SweepRecord(NamedTuple):
     cum_ratio: float
 
 
-def _sieve_for(
-    limit: int, sieve: MultiplicativeSieve | None, max_sieve: int
-) -> MultiplicativeSieve:
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if sieve is not None and sieve.limit >= limit:
+def _sieve_for(limit: int, sieve: MultiplicativeSieve | None) -> MultiplicativeSieve:
+    # sieve_multiplicative checks limit and the budget for anything not covered
+    if sieve is not None and 1 <= limit <= sieve.limit:
         return sieve
-    return sieve_multiplicative(limit, max_sieve)
+    return sieve_multiplicative(limit)
 
 
-def partial_sums(
-    limit: int,
-    sieve: MultiplicativeSieve | None = None,
-    max_sieve: int = DEFAULT_MAX_SIEVE,
-) -> SweepRecord:
+def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepRecord:
     """Final census row at `limit` from exact integer cumulative sums.
 
     cum_psi/cum_sigma converges to 1/zeta(4) with an O(log(limit)/limit)
     error. Pass a precomputed sieve (of any length >= limit) to avoid
-    re-sieving; the result is identical either way.
+    re-sieving; a shorter one is ignored, and the result is identical
+    either way.
     """
-    sv = _sieve_for(limit, sieve, max_sieve)
+    sv = _sieve_for(limit, sieve)
     psi = sv.psi[: limit + 1]
     sig = sv.sigma[: limit + 1]
     cum_psi = int(psi.sum())
@@ -189,12 +178,10 @@ _BLOCK = 65536  # sieve entries sweep_stream turns into Python ints at a time
 
 
 def sweep_stream(
-    limit: int,
-    sieve: MultiplicativeSieve | None = None,
-    max_sieve: int = DEFAULT_MAX_SIEVE,
+    limit: int, sieve: MultiplicativeSieve | None = None
 ) -> Iterator[SweepRecord]:
     """All census rows 1..limit in order, from one sieve pass."""
-    sv = _sieve_for(limit, sieve, max_sieve)
+    sv = _sieve_for(limit, sieve)
     cum_psi = 0
     cum_sigma = 0
     new = tuple.__new__  # skips the per-row Python-level NamedTuple constructor
@@ -209,11 +196,7 @@ def sweep_stream(
             )
 
 
-def qd2_partial_sum(
-    limit: int,
-    sieve: MultiplicativeSieve | None = None,
-    max_sieve: int = DEFAULT_MAX_SIEVE,
-) -> float:
+def qd2_partial_sum(limit: int, sieve: MultiplicativeSieve | None = None) -> float:
     """Partial sum of 1/d^2 over square-free d <= limit.
 
     Converges to zeta(2)/zeta(4) = 15/pi^2; the omitted tail is below
@@ -221,7 +204,7 @@ def qd2_partial_sum(
     """
     import numpy as np
 
-    sv = _sieve_for(limit, sieve, max_sieve)
+    sv = _sieve_for(limit, sieve)
     d = np.arange(limit + 1, dtype=np.float64)
     d[0] = 1.0  # avoid 0/0; index 0 is padding and excluded below
     d *= d

@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 from .arith import WORD_BOUND, BudgetError, divisors, factorize, sigma
 
-# enumerate_lattices refuses an index whose total triple count exceeds this
+# enumerate_lattices' default budget in triples; to_permutation_pair's in squares
 DEFAULT_MAX_TRIPLES = 10_000_000
 
 
@@ -223,9 +223,7 @@ def enumerate_lattices(
     return generate()
 
 
-def to_permutation_pair(
-    lat: HnfLattice, max_squares: int = DEFAULT_MAX_TRIPLES
-) -> tuple[list[int], list[int]]:
+def to_permutation_pair(lat: HnfLattice) -> tuple[list[int], list[int]]:
     """Permutation encoding of the tiled torus on its squares.
 
     Squares sit at (i, j) with 0 <= i < width, 0 <= j < height and are
@@ -234,11 +232,12 @@ def to_permutation_pair(
     up a row, wrapping the top row to the bottom shifted by the twist.
     Both are returned 0-based in image-of-index form. They commute, act
     transitively, and generate an abelian group of order width * height
-    that is cyclic exactly when the lattice is.
+    that is cyclic exactly when the lattice is. Refuses (BudgetError) a
+    torus of more than DEFAULT_MAX_TRIPLES squares.
     """
     n = lat.width * lat.height
-    if n > max_squares:
-        raise BudgetError(f"{n} squares exceed the budget of {max_squares}")
+    if n > DEFAULT_MAX_TRIPLES:
+        raise BudgetError(f"{n} squares exceed the budget of {DEFAULT_MAX_TRIPLES}")
     w, h, t = lat.width, lat.height, lat.twist
     horizontal = [0] * n
     vertical = [0] * n

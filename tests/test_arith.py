@@ -218,6 +218,16 @@ def test_sigma_overflow_is_reported():
         sigma(factorize(3 * 2**61))
 
 
+@pytest.mark.parametrize(
+    "route", [lambda n: dedekind_psi(factorize(n)), psi_via_cylinders, psi_prime]
+)
+def test_every_psi_route_reports_overflow_alike(route):
+    message = "psi(6917529027641081856) exceeds the 64-bit bound"
+    with pytest.raises(OverflowError) as info:
+        route(3 * 2**61)
+    assert str(info.value) == message
+
+
 def test_large_values_still_exact_below_bound():
     n = 2**62
     assert psi_of(n) == 2**61 * 3

@@ -23,7 +23,6 @@ from squaretori.asymptotics import (
     rho,
     rho_factored,
     sweep_stream,
-    zeta_constants,
     zeta_series,
 )
 
@@ -32,13 +31,12 @@ BIG_PRIMES = (99991, 999983, 104729, 611953)
 
 
 def test_zeta_closed_forms():
-    z = zeta_constants()
+    z = ZETA
     assert z.zeta2 == math.pi**2 / 6
     assert z.zeta4 == math.pi**4 / 90
     assert z.inv_zeta2 == 1 / z.zeta2
     assert z.inv_zeta4 == 1 / z.zeta4
     assert z.ratio_z2_z4 == z.zeta2 / z.zeta4
-    assert ZETA == z
 
 
 def test_zeta_series_agrees_with_closed_forms():
@@ -53,6 +51,10 @@ def test_first_primes():
     ps = first_primes(40)
     assert ps[-1] == 173
     assert all(brute_is_prime(p) for p in ps)
+    assert first_primes(0) == []
+    for k in (-1, -6):
+        with pytest.raises(ValueError, match=f"k must be >= 0, got {k}"):
+            first_primes(k)
 
 
 # --- rho ------------------------------------------------------------------
@@ -286,6 +288,17 @@ def test_qd2_is_bit_identical_to_the_reference(limit, sieve_million):
         assert qd2_partial_sum(limit, sieve=sv) == qd2_reference(limit, sv)
 
 
-def test_partial_sums_domain():
+def test_partial_sums_domain(sieve_100k):
     with pytest.raises(ValueError):
         partial_sums(0)
+    # a sieve never stands in for the limit check: index -1 would read its last entry
+    for limit in (0, -1):
+        for call in (
+            partial_sums,
+            lambda limit, sieve: list(sweep_stream(limit, sieve=sieve)),
+            qd2_partial_sum,
+        ):
+            with pytest.raises(ValueError, match=f"limit must be >= 1, got {limit}"):
+                call(limit, sieve=sieve_100k)
+    # a sieve shorter than the limit is ignored, not read past its end
+    assert partial_sums(200, sieve=sieve_multiplicative(100)) == partial_sums(200)

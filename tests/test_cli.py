@@ -406,6 +406,12 @@ def test_overflow_is_reported(capsys):
     assert code == 1 and "error" in err
 
 
+def test_overflow_at_the_largest_input(capsys):
+    code, out, err = run_cli(capsys, "count", "9223372036854775807")
+    assert code == 1 and out == ""
+    assert err == "error: psi(9223372036854775807) exceeds the 64-bit bound\n"
+
+
 def test_rank_error_exit(capsys):
     code, out, err = run_cli(capsys, "classify", "1", "0", "2", "0")
     assert code == 1 and err != ""

@@ -302,4 +302,5 @@ def test_permutation_pair_json_golden():
 
 def test_permutation_budget():
     with pytest.raises(BudgetError):
-        to_permutation_pair(HnfLattice(100, 100, 0), max_squares=5000)
+        # 10,010,000 squares, refused before any list is built
+        to_permutation_pair(HnfLattice(10**4, 10**3 + 1, 0))
