@@ -27,7 +27,7 @@ ratios = sv.psi[1:] / sv.sigma[1:]
 print(f"rho(n) over 1 <= n <= {LIMIT}:")
 print(f"  smallest value   {ratios.min():.9f}   (floor 1/zeta(2) = {ZETA.inv_zeta2:.9f})")
 print(f"  largest value    {ratios.max():.1f}")
-share = float(np.count_nonzero(sv.squarefree[1:])) / LIMIT
+share = float(np.count_nonzero(sv.psi[1:] == sv.sigma[1:])) / LIMIT
 print(f"  rho = 1 exactly on square-free n: {share:.4f} of the range")
 print()
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import index
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -22,8 +23,8 @@ if TYPE_CHECKING:
 # Largest admissible input and output value. Results above this raise.
 WORD_BOUND = 2**63 - 1
 
-# At its peak the sieve holds four int64 arrays of limit + 1 entries,
-# about 64 MB at this cap; raise the cap for larger ranges.
+# At its peak the sieve holds three int64 arrays of limit + 1 entries,
+# about 48 MB at this cap; raise the cap for larger ranges.
 DEFAULT_MAX_SIEVE = 2_000_000
 
 
@@ -76,9 +77,9 @@ class PrimeFactorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "factors", tuple((int(p), int(a)) for p, a in self.factors)
-        )
+        factors = tuple((index(p), index(a)) for p, a in self.factors)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         product = 1
@@ -231,16 +232,15 @@ def psi_prime(n: int) -> int:
 
 @dataclass(frozen=True)
 class MultiplicativeSieve:
-    """Batch values psi[n], sigma[n], squarefree[n] for n <= limit.
+    """Batch values psi[n] and sigma[n] for n <= limit, as int64 arrays.
 
-    Arrays have length limit + 1 with index 0 left as zero padding, so
-    array[n] is the value at n. psi/sigma are int64, squarefree uint8.
+    Index 0 is zero padding, so array[n] is the value at n; n >= 1 is
+    square-free exactly where psi[n] == sigma[n].
     """
 
     limit: int
     psi: np.ndarray
     sigma: np.ndarray
-    squarefree: np.ndarray
 
 
 def sieve_multiplicative(
@@ -249,12 +249,12 @@ def sieve_multiplicative(
     """Batch values over [1, limit] from strided numpy passes over prime powers.
 
     Each prime p <= sqrt(limit) scales every multiple of p by its p-factor,
-    then every multiple of p^k by the step from p^(k-1) to p^k. Dividing
-    n by the prime powers it collected leaves 1 or the one prime factor
-    above sqrt(limit) that an n <= limit can have, applied in a final
-    pass. All arithmetic is exact int64, so the arrays agree entrywise
-    with the single-value functions. Deterministic; raises BudgetError
-    when limit > max_sieve.
+    then every multiple of p^k by the step from p^(k-1) to p^k, and divides
+    p out of n there. What is left of n is 1 or the one prime factor above
+    sqrt(limit) that an n <= limit can have, applied in a final pass. All
+    arithmetic is exact int64, so the arrays agree entrywise with the
+    single-value functions, and psi == sigma exactly at square-free n.
+    Deterministic; raises BudgetError when limit > max_sieve.
     """
     import numpy as np  # loaded here, so paths without a sieve never import it
 
@@ -265,33 +265,22 @@ def sieve_multiplicative(
             f"sieve of {limit} exceeds the budget of {max_sieve}; "
             "raise max_sieve to allow it"
         )
-    root = isqrt(limit)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, isqrt(root) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    part = np.ones(limit + 1, dtype=np.int64)  # product of p^k | n, p <= root
+    rem = np.arange(limit + 1, dtype=np.int64)  # n less its p^k, p <= sqrt(limit)
     psi = np.ones(limit + 1, dtype=np.int64)
     sig = np.ones(limit + 1, dtype=np.int64)
-    sqf = np.ones(limit + 1, dtype=np.uint8)
-    for p in np.flatnonzero(small).tolist():
+    for p in filter(is_prime, range(2, isqrt(limit) + 1)):
         psi[p::p] *= p + 1
         sig[p::p] *= p + 1
-        part[p::p] *= p
+        rem[p::p] //= p
         q, below, upto = p * p, p + 1, p * p + p + 1
         while q <= limit:
             # on multiples of p^k: sigma's p-factor 1+..+p^(k-1) becomes 1+..+p^k
             psi[q::q] *= p
             sig[q::q] //= below
             sig[q::q] *= upto
-            part[q::q] *= p
-            sqf[q::q] = 0
+            rem[q::q] //= p
             q, below, upto = q * p, upto, upto * p + 1
-    rem = np.arange(limit + 1, dtype=np.int64)
-    rem //= part  # 1 or a prime q > root
-    rem += rem > 1  # q becomes its factor q + 1; rem[0] = 0 zeroes index 0
+    rem += rem > 1  # a prime q left over becomes q + 1; rem[0] = 0 zeroes index 0
     psi *= rem
     sig *= rem
-    sqf[0] = 0
-    return MultiplicativeSieve(limit, psi, sig, sqf)
+    return MultiplicativeSieve(limit, psi, sig)

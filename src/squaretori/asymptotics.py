@@ -18,6 +18,7 @@ from .arith import (
     MultiplicativeSieve,
     PrimeFactorization,
     dedekind_psi,
+    is_prime,
     sieve_multiplicative,
     sigma,
 )
@@ -91,7 +92,7 @@ def rho_factored(factors: Sequence[tuple[int, int]]) -> float:
     seen = set()
     value = 1.0
     for q, a in factors:
-        if q < 2:
+        if not is_prime(q):
             raise ValueError(f"{q} is not a valid prime factor")
         if a < 1:
             raise ValueError("exponents must be >= 1")
@@ -208,6 +209,6 @@ def qd2_partial_sum(limit: int, sieve: MultiplicativeSieve | None = None) -> flo
     d = np.arange(limit + 1, dtype=np.float64)
     d[0] = 1.0  # avoid 0/0; index 0 is padding and excluded below
     d *= d
-    terms = sv.squarefree[: limit + 1].astype(np.float64)
-    terms /= d
-    return float(terms[1:].sum())
+    # square-free exactly where psi == sigma; the quotient reuses d's buffer
+    np.divide(sv.psi[: limit + 1] == sv.sigma[: limit + 1], d, out=d)
+    return float(d[1:].sum())

@@ -15,6 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Iterator, NamedTuple
 
 from .arith import WORD_BOUND, BudgetError, divisors, factorize, sigma
@@ -39,8 +40,8 @@ class GeneratorPair:
     v: tuple[int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", (int(self.u[0]), int(self.u[1])))
-        object.__setattr__(self, "v", (int(self.v[0]), int(self.v[1])))
+        object.__setattr__(self, "u", (index(self.u[0]), index(self.u[1])))
+        object.__setattr__(self, "v", (index(self.v[0]), index(self.v[1])))
         det = self.u[0] * self.v[1] - self.u[1] * self.v[0]
         if max(map(abs, self.u + self.v)) > WORD_BOUND or abs(det) > WORD_BOUND:
             raise OverflowError(f"generators {self.u}, {self.v} leave the 64-bit range")

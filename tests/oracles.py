@@ -30,6 +30,18 @@ def brute_is_squarefree(n):
     return all(n % (d * d) for d in range(2, isqrt(n) + 1))
 
 
+def squarefree_mask(limit):
+    """Boolean array: entry n is True for square-free n >= 1, entry 0 False.
+
+    Built by striking the multiples of p^2 for every prime p <= sqrt(limit).
+    """
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[0] = False
+    for p in filter(brute_is_prime, range(2, isqrt(limit) + 1)):
+        mask[p * p :: p * p] = False
+    return mask
+
+
 def brute_factor_map(n):
     factors = {}
     d = 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     brute_psi_triples,
     brute_sigma,
     linear_sieve,
+    squarefree_mask,
 )
 from squaretori.arith import (
     BudgetError,
@@ -90,6 +92,18 @@ def test_factorization_validation():
     with pytest.raises(ValueError):
         PrimeFactorization(0, ())
     assert PrimeFactorization(12, ((2, 2), (3, 1))).distinct_prime_count == 2
+
+
+def test_factorization_must_be_integers():
+    # non-integers are refused, not truncated: 2.9 is not the prime 2
+    with pytest.raises(TypeError):
+        PrimeFactorization(4, ((2.9, 2),))
+    with pytest.raises(TypeError):
+        PrimeFactorization(4, ((2, 2.0),))
+    with pytest.raises(TypeError):
+        PrimeFactorization(4.0, ((2, 2),))  # would make dedekind_psi return 6.0
+    f = PrimeFactorization(np.int64(4), ((np.int64(2), 2),))
+    assert type(f.n) is int and f.factors == ((2, 2),) and dedekind_psi(f) == 6
 
 
 # --- single-value functions ---------------------------------------------
@@ -240,7 +254,6 @@ def test_sieve_tiny():
     sv = sieve_multiplicative(1)
     assert sv.psi.tolist() == [0, 1]
     assert sv.sigma.tolist() == [0, 1]
-    assert sv.squarefree.tolist() == [0, 1]
 
 
 def test_sieve_first_ten():
@@ -255,14 +268,17 @@ def test_sieve_matches_single_values(sieve_100k):
         f = factorize(n)
         assert sv.psi[n] == dedekind_psi(f), n
         assert sv.sigma[n] == sigma(f), n
-        assert sv.squarefree[n] == squarefree_indicator(f), n
+        assert (sv.psi[n] == sv.sigma[n]) == bool(squarefree_indicator(f)), n
 
 
 def assert_matches_linear_sieve(sv, reference):
     psi, sig, _phi, sqf = reference  # the sieve keeps no phi column
-    for got, want in zip((sv.psi, sv.sigma, sv.squarefree), (psi, sig, sqf)):
+    for got, want in zip((sv.psi, sv.sigma), (psi, sig)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want[: sv.limit + 1]), sv.limit
+    # square-free is read off the sieve as psi == sigma
+    equal = sv.psi[1:] == sv.sigma[1:]
+    assert np.array_equal(equal, sqf[1 : sv.limit + 1] == 1), sv.limit
 
 
 def test_sieve_matches_linear_sieve_small_limits():
@@ -295,7 +311,7 @@ def test_sieve_entry_matches_single_values(data):
     f = factorize(n)
     assert sv.psi[n] == dedekind_psi(f)
     assert sv.sigma[n] == sigma(f)
-    assert sv.squarefree[n] == squarefree_indicator(f)
+    assert (sv.psi[n] == sv.sigma[n]) == bool(squarefree_indicator(f))
 
 
 def test_sieve_budget():
@@ -311,4 +327,17 @@ def test_bound_ordering(sieve_100k):
     assert (n[1:] <= sv.psi[1:]).all()
     assert (sv.psi[1:] <= sv.sigma[1:]).all()
     equal = sv.psi[1:] == sv.sigma[1:]
-    assert (equal == (sv.squarefree[1:] == 1)).all()
+    assert (equal == squarefree_mask(sv.limit)[1:]).all()
+
+
+def test_sieve_peak_memory():
+    # three int64 columns (rem, psi, sigma) plus one bool temporary; numpy is
+    # imported above, so its own start-up allocations are not counted
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        sieve_multiplicative(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 8 * (limit + 1), peak / (8 * (limit + 1))

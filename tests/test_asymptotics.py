@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     brute_sigma,
     divisor_sum_psi,
     divisor_sum_sigma,
+    squarefree_mask,
 )
 from squaretori.arith import factorize, sieve_multiplicative
 from squaretori.asymptotics import (
@@ -97,6 +99,10 @@ def test_rho_factored_domain_errors():
         rho_factored([(1, 1)])
     with pytest.raises(ValueError):
         rho_factored([(2, 0)])
+    # a composite or zero "prime" is refused; rho(4) is 6/7, not 1
+    for factors in ([(4, 1)], [(6, 2)], [(0, 1)]):
+        with pytest.raises(ValueError, match="is not a valid prime factor"):
+            rho_factored(factors)
 
 
 def test_rho_factored_exponent_capping():
@@ -252,7 +258,7 @@ def test_rho_bounds_over_sieved_range(sieve_million):
     assert float(ratios.min()) >= ZETA.inv_zeta2 - 1e-12
     assert float(ratios.max()) <= 1.0
     exact_ones = sv.psi[1:] == sv.sigma[1:]
-    assert bool((exact_ones == (sv.squarefree[1:] == 1)).all())
+    assert bool((exact_ones == squarefree_mask(sv.limit)[1:]).all())
 
 
 # --- square-free zeta sum ----------------------------------------------------
@@ -272,12 +278,27 @@ def test_qd2_converges_with_tail_bound(sieve_100k):
     )
 
 
-def qd2_reference(limit, sv):
-    # the same IEEE operations as qd2_partial_sum, through three temporaries
+def qd2_reference(limit):
+    # the same IEEE operations as qd2_partial_sum, through three temporaries,
+    # on a square-free mask that does not come from the sieve
     d = np.arange(limit + 1, dtype=np.float64)
     d[0] = 1.0
-    terms = sv.squarefree[: limit + 1].astype(np.float64) / (d * d)
+    terms = squarefree_mask(limit).astype(np.float64) / (d * d)
     return float(terms[1:].sum())
+
+
+def test_qd2_extra_peak_memory(sieve_million):
+    # one float64 array of limit + 1 entries plus the bool psi == sigma mask
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        qd2_partial_sum(limit, sieve=sieve_million)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    extra = peak - before
+    assert extra <= 1.25 * 8 * (limit + 1), extra / (8 * (limit + 1))
 
 
 @pytest.mark.parametrize("limit", [1, 2, 10, 999, 65537, 10**6])
@@ -285,7 +306,7 @@ def test_qd2_is_bit_identical_to_the_reference(limit, sieve_million):
     exact = sieve_multiplicative(limit)
     longer = sieve_million if limit < 10**6 else sieve_multiplicative(limit + 3456)
     for sv in (exact, longer):
-        assert qd2_partial_sum(limit, sieve=sv) == qd2_reference(limit, sv)
+        assert qd2_partial_sum(limit, sieve=sv) == qd2_reference(limit)
 
 
 def test_partial_sums_domain(sieve_100k):

@@ -85,6 +85,13 @@ def test_generators_outside_64_bits_overflow():
     assert lattice_index(GeneratorPair((2**31, 0), (0, 2**31 - 1))) == 2**62 - 2**31
 
 
+def test_generators_must_be_integers():
+    # a float coordinate is refused, not truncated: (1.5, 2) is not (1, 2)
+    for u, v in (((1.5, 2), (0, 1)), ((1, 2), (0, 1.0)), (("1", 2), (0, 1))):
+        with pytest.raises(TypeError):
+            GeneratorPair(u, v)
+
+
 def test_type_validation():
     with pytest.raises(ValueError):
         HnfLattice(0, 1, 0)
