@@ -13,9 +13,9 @@ raises OverflowError instead of wrapping or drifting through floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import index
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,6 +63,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_powers(factors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of a factor list, checked and as exact ints.
+
+    Non-integers raise TypeError instead of being truncated. Each prime
+    must pass is_prime, each exponent be >= 1, and the primes must
+    strictly increase (ValueError otherwise).
+    """
+    pairs = tuple((index(q), index(a)) for q, a in factors)
+    previous = 1
+    for q, a in pairs:
+        if not is_prime(q):
+            raise ValueError(f"{q} is not a valid prime factor")
+        if a < 1:
+            raise ValueError("exponents must be >= 1")
+        if q <= previous:
+            raise ValueError("primes must be strictly increasing")
+        previous = q
+    return pairs
+
+
 @dataclass(frozen=True)
 class PrimeFactorization:
     """A positive integer together with its ordered prime decomposition.
@@ -77,29 +97,13 @@ class PrimeFactorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple((index(p), index(a)) for p, a in self.factors)
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", _prime_powers(self.factors))
         object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        product = 1
-        previous = 1
-        for p, a in self.factors:
-            if p <= previous:
-                raise ValueError("primes must be strictly increasing")
-            if a < 1:
-                raise ValueError("exponents must be >= 1")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            product *= p**a
-            previous = p
+        product = prod(p**a for p, a in self.factors)
         if product != self.n:
             raise ValueError(f"factors multiply to {product}, not {self.n}")
-
-    @property
-    def distinct_prime_count(self) -> int:
-        """Number of distinct primes dividing n."""
-        return len(self.factors)
 
 
 def _checked(value: int, name: str, n: int) -> int:
@@ -114,6 +118,7 @@ def factorize(n: int) -> PrimeFactorization:
 
     Accepts 1 <= n <= 2**63 - 1; factorize(1) has an empty factor list.
     """
+    n = index(n)  # a float raises TypeError here, before any trial division
     if not 1 <= n <= WORD_BOUND:
         raise ValueError(f"n must be in [1, {WORD_BOUND}], got {n}")
     factors = []
@@ -214,19 +219,15 @@ def psi_via_cylinders(n: int) -> int:
 def psi_prime(n: int) -> int:
     """Square-free divisor sum: n * sum of q(d)/d over divisors d of n.
 
-    q is the square-free indicator; the sum is evaluated literally over
-    every divisor (as n//d for the square-free ones), giving a third
-    independent route to dedekind_psi.
+    q is the square-free indicator. The square-free divisors of n are
+    exactly the divisors of its radical (the product of the distinct
+    primes dividing n), so the sum is evaluated literally as n//d over
+    those, giving a third independent route to dedekind_psi.
     """
     f = factorize(n)
-    terms = [(1, True)]
-    for p, a in f.factors:
-        terms = [
-            (d * p**k, squarefree and k <= 1)
-            for d, squarefree in terms
-            for k in range(a + 1)
-        ]
-    total = sum(n // d for d, squarefree in terms if squarefree)
+    primes = [p for p, _ in f.factors]
+    radical = PrimeFactorization(prod(primes), tuple((p, 1) for p in primes))
+    total = sum(n // d for d in divisors(radical))
     return _checked(total, "psi", n)
 
 

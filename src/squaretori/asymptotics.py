@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import (
     MultiplicativeSieve,
     PrimeFactorization,
+    _prime_powers,
     dedekind_psi,
     is_prime,
     sieve_multiplicative,
@@ -88,17 +90,11 @@ def rho_factored(factors: Sequence[tuple[int, int]]) -> float:
     A prime q with exponent a contributes (1 - q^-2) / (1 - q^-(a+1)).
     When q^(a+1) would pass 2^63 the second factor is within 2^-63 of 1
     and is treated as 1, so arbitrarily large implied n stays cheap.
+    The pairs are checked like PrimeFactorization's: integer primes in
+    strictly increasing order, each exponent >= 1.
     """
-    seen = set()
     value = 1.0
-    for q, a in factors:
-        if not is_prime(q):
-            raise ValueError(f"{q} is not a valid prime factor")
-        if a < 1:
-            raise ValueError("exponents must be >= 1")
-        if q in seen:
-            raise ValueError(f"duplicate prime {q}")
-        seen.add(q)
+    for q, a in _prime_powers(factors):
         value *= 1.0 - 1.0 / (q * q)
         if (a + 1) * math.log2(q) <= 63:
             value /= 1.0 - 1.0 / float(q) ** (a + 1)
@@ -109,14 +105,11 @@ _PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 def first_primes(k: int) -> list[int]:
-    """The first k primes, grown on demand by trial division."""
+    """The first k primes, grown on demand and cached."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     while len(_PRIMES) < k:
-        c = _PRIMES[-1] + 2
-        while any(c % p == 0 for p in _PRIMES if p * p <= c):
-            c += 2
-        _PRIMES.append(c)
+        _PRIMES.append(next(filter(is_prime, count(_PRIMES[-1] + 2, 2))))
     return _PRIMES[:k]
 
 

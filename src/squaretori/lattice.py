@@ -62,7 +62,8 @@ class HnfLattice(_Cylinder):
 
     width and height are the cylinder circumference and height, twist the
     horizontal offset used to glue top to bottom; the tiled torus has
-    width * height squares. A named tuple, so it equals the plain tuple
+    width * height squares, which must lie in the signed 64-bit range
+    (OverflowError otherwise). A named tuple, so it equals the plain tuple
     (width, height, twist).
     """
 
@@ -70,10 +71,13 @@ class HnfLattice(_Cylinder):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, width: int, height: int, twist: int) -> HnfLattice:
+        width, height, twist = index(width), index(height), index(twist)
         if width < 1 or height < 1:
             raise ValueError("width and height must be positive")
         if not 0 <= twist < width:
             raise ValueError("twist must satisfy 0 <= twist < width")
+        if width * height > WORD_BOUND:
+            raise OverflowError(f"index {width} * {height} leaves the 64-bit range")
         return tuple.__new__(cls, (width, height, twist))
 
     @property
@@ -236,7 +240,7 @@ def to_permutation_pair(lat: HnfLattice) -> tuple[list[int], list[int]]:
     that is cyclic exactly when the lattice is. Refuses (BudgetError) a
     torus of more than DEFAULT_MAX_TRIPLES squares.
     """
-    n = lat.width * lat.height
+    n = lat.index
     if n > DEFAULT_MAX_TRIPLES:
         raise BudgetError(f"{n} squares exceed the budget of {DEFAULT_MAX_TRIPLES}")
     w, h, t = lat.width, lat.height, lat.twist
@@ -260,7 +264,7 @@ def permutation_pair_json(lat: HnfLattice) -> str:
     torus. Keys are the square count and the two image arrays.
     """
     horizontal, vertical = to_permutation_pair(lat)
-    payload = {"n": lat.width * lat.height, "h": horizontal, "v": vertical}
+    payload = {"n": lat.index, "h": horizontal, "v": vertical}
     return json.dumps(payload, separators=(",", ":"))
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from squaretori.arith import (
     sigma,
     squarefree_indicator,
 )
+from squaretori.asymptotics import rho_factored
 
 
 def psi_of(n):
@@ -80,6 +82,14 @@ def test_factorize_domain_errors():
     factorize(WORD_BOUND)  # the bound itself is fine
 
 
+def test_factorize_refuses_a_float_before_trial_division():
+    # 9007199254740881 is a prime below 2**53: trial division would take seconds
+    start = time.perf_counter()
+    with pytest.raises(TypeError):
+        factorize(9007199254740881.0)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_factorization_validation():
     with pytest.raises(ValueError):
         PrimeFactorization(4, ((4, 1),))        # 4 is not prime
@@ -91,7 +101,6 @@ def test_factorization_validation():
         PrimeFactorization(2, ((2, 0),))         # exponent 0
     with pytest.raises(ValueError):
         PrimeFactorization(0, ())
-    assert PrimeFactorization(12, ((2, 2), (3, 1))).distinct_prime_count == 2
 
 
 def test_factorization_must_be_integers():
@@ -102,6 +111,19 @@ def test_factorization_must_be_integers():
         PrimeFactorization(4, ((2, 2.0),))
     with pytest.raises(TypeError):
         PrimeFactorization(4.0, ((2, 2),))  # would make dedekind_psi return 6.0
+    # rho_factored shares the factor-list check: same pair, same error
+    for pair, error in (
+        ((2.9, 2), TypeError),
+        ((2, 1.5), TypeError),
+        ((2.0, 1), TypeError),
+        ((4, 1), ValueError),
+        ((2, 0), ValueError),
+    ):
+        with pytest.raises(error) as by_factorization:
+            PrimeFactorization(4, (pair,))
+        with pytest.raises(error) as by_rho:
+            rho_factored([pair])
+        assert str(by_rho.value) == str(by_factorization.value), pair
     f = PrimeFactorization(np.int64(4), ((np.int64(2), 2),))
     assert type(f.n) is int and f.factors == ((2, 2),) and dedekind_psi(f) == 6
 

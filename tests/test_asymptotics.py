@@ -99,6 +99,12 @@ def test_rho_factored_domain_errors():
         rho_factored([(1, 1)])
     with pytest.raises(ValueError):
         rho_factored([(2, 0)])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        rho_factored([(3, 1), (2, 1)])  # primes out of order
+    # a non-integer exponent or prime is refused, not read as a number
+    for factors in ([(2, 1.5)], [(2.0, 1)]):
+        with pytest.raises(TypeError):
+            rho_factored(factors)
     # a composite or zero "prime" is refused; rho(4) is 6/7, not 1
     for factors in ([(4, 1)], [(6, 2)], [(0, 1)]):
         with pytest.raises(ValueError, match="is not a valid prime factor"):

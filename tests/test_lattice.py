@@ -92,6 +92,19 @@ def test_generators_must_be_integers():
             GeneratorPair(u, v)
 
 
+def test_hnf_lattice_must_be_integers_within_64_bits():
+    # like GeneratorPair: floats are refused and the index stays in 64 bits
+    for fields in ((2.5, 1, 0), (3, 2, 1.5), (3, 2.0, 1), ("3", 2, 1)):
+        with pytest.raises(TypeError):
+            HnfLattice(*fields)
+    with pytest.raises(OverflowError):
+        HnfLattice(2**40, 2**40, 0)
+    with pytest.raises(OverflowError):
+        HnfLattice(3, 2, 1)._replace(height=2**62)
+    lat = HnfLattice(2**31, 2**31, 5)  # index 2**62 is inside the bound
+    assert lat.index == 2**62
+
+
 def test_type_validation():
     with pytest.raises(ValueError):
         HnfLattice(0, 1, 0)
