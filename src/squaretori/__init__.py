@@ -14,7 +14,6 @@ from .arith import (
     PrimeFactorization,
     dedekind_psi,
     divisors,
-    euler_phi,
     factorize,
     is_prime,
     psi_prime,
@@ -29,7 +28,6 @@ from .asymptotics import (
     SweepRecord,
     ZetaConstants,
     extremal_sequence_rho,
-    first_primes,
     partial_sums,
     qd2_partial_sum,
     rho,
@@ -46,7 +44,6 @@ from .lattice import (
     enumerate_lattices,
     hnf_reduce,
     is_cyclic,
-    is_primitive,
     lattice_index,
     permutation_pair_json,
     random_unimodular,
@@ -72,14 +69,11 @@ __all__ = [
     "dedekind_psi",
     "divisors",
     "enumerate_lattices",
-    "euler_phi",
     "extremal_sequence_rho",
     "factorize",
-    "first_primes",
     "hnf_reduce",
     "is_cyclic",
     "is_prime",
-    "is_primitive",
     "lattice_index",
     "partial_sums",
     "permutation_pair_json",

@@ -1,10 +1,10 @@
 """Exact multiplicative arithmetic functions on prime factorizations.
 
-Euler phi, Dedekind psi, and the sum-of-divisors function, evaluated
-exactly in integer arithmetic from a prime factorization. Dedekind psi
-gets two additional, independent evaluation routes (a divisor-pair sum
-over cylinder shapes and a square-free divisor sum) so the closed form
-can be cross-checked, plus a numpy prime-power sieve for whole ranges.
+Dedekind psi and the sum-of-divisors function, evaluated exactly in
+integer arithmetic from a prime factorization. Dedekind psi gets two
+additional, independent evaluation routes (a divisor-pair sum over
+cylinder shapes and a square-free divisor sum) so the closed form can
+be cross-checked, plus a numpy prime-power sieve for whole ranges.
 
 All values live in the signed 64-bit range; a result that would leave it
 raises OverflowError instead of wrapping or drifting through floats.
@@ -141,18 +141,6 @@ def factorize(n: int) -> PrimeFactorization:
     if m > 1:
         factors.append((m, 1))
     return PrimeFactorization(n, tuple(factors))
-
-
-def euler_phi(f: PrimeFactorization) -> int:
-    """Count of 0 <= k < n coprime to n, via the product formula.
-
-    Evaluated as n with each prime divided out once and replaced by
-    (p - 1), so every intermediate stays integral.
-    """
-    value = f.n
-    for p, _ in f.factors:
-        value = value // p * (p - 1)
-    return value
 
 
 def dedekind_psi(f: PrimeFactorization) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import (
@@ -71,6 +72,8 @@ class RatioValue:
     value: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "psi", index(self.psi))
+        object.__setattr__(self, "sigma", index(self.sigma))
         if self.psi < 1 or self.sigma < self.psi:
             raise ValueError("need 1 <= psi <= sigma")
         if self.value != self.psi / self.sigma:
@@ -101,16 +104,7 @@ def rho_factored(factors: Sequence[tuple[int, int]]) -> float:
     return value
 
 
-_PRIMES = [2, 3, 5, 7, 11, 13]
-
-
-def first_primes(k: int) -> list[int]:
-    """The first k primes, grown on demand and cached."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    while len(_PRIMES) < k:
-        _PRIMES.append(next(filter(is_prime, count(_PRIMES[-1] + 2, 2))))
-    return _PRIMES[:k]
+_PRIMES = tuple(islice(filter(is_prime, count(2)), 50))  # the first 50 primes
 
 
 def extremal_sequence_rho(k: int) -> float:
@@ -120,9 +114,10 @@ def extremal_sequence_rho(k: int) -> float:
     1/zeta(2) as k grows. The underlying integer overflows 64 bits from
     k = 6 on, so only the factored evaluation is ever used.
     """
+    k = index(k)  # a float raises TypeError here, before the range check
     if not 1 <= k <= 50:
         raise ValueError(f"k must be in [1, 50], got {k}")
-    return rho_factored([(p, k) for p in first_primes(k)])
+    return rho_factored([(p, k) for p in _PRIMES[:k]])
 
 
 class SweepRecord(NamedTuple):

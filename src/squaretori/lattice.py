@@ -88,21 +88,21 @@ class HnfLattice(_Cylinder):
 
 @dataclass(frozen=True)
 class QuotientShape:
-    """Invariant factors (d1, d2), d1 | d2, of the quotient group Z^2/L."""
+    """Invariant factors (d1, d2), d1 | d2, of the quotient group Z^2/L.
+
+    The quotient Z/d1 + Z/d2 is cyclic exactly when d1 = 1.
+    """
 
     d1: int
     d2: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d1", index(self.d1))
+        object.__setattr__(self, "d2", index(self.d2))
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("invariant factors must be positive")
         if self.d2 % self.d1 != 0:
             raise ValueError(f"d1={self.d1} must divide d2={self.d2}")
-
-    @property
-    def is_cyclic(self) -> bool:
-        """The quotient Z/d1 + Z/d2 is cyclic exactly when d1 = 1."""
-        return self.d1 == 1
 
 
 def lattice_index(g: GeneratorPair) -> int:
@@ -190,11 +190,6 @@ def smith_shape(g: GeneratorPair) -> QuotientShape:
 def is_cyclic(lat: HnfLattice) -> bool:
     """True when the quotient group is cyclic: gcd(width, height, twist) = 1."""
     return gcd(lat.width, lat.height, lat.twist) == 1
-
-
-def is_primitive(g: GeneratorPair) -> bool:
-    """True when the sublattice is primitive, i.e. its content is 1."""
-    return content(g) == 1
 
 
 def enumerate_lattices(

@@ -18,10 +18,6 @@ def brute_sigma(n):
     return sum(brute_divisors(n))
 
 
-def brute_phi(n):
-    return sum(1 for k in range(n) if gcd(n, k) == 1)
-
-
 def brute_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 

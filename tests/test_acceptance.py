@@ -21,7 +21,6 @@ from contextlib import redirect_stdout
 from oracles import group_is_cyclic_exponent, squarefree_mask
 from squaretori.arith import (
     dedekind_psi,
-    euler_phi,
     factorize,
     psi_prime,
     psi_via_cylinders,
@@ -42,7 +41,6 @@ from squaretori.lattice import (
     enumerate_lattices,
     hnf_reduce,
     is_cyclic,
-    is_primitive,
     lattice_index,
     random_unimodular,
     smith_shape,
@@ -126,7 +124,7 @@ def test_04_cyclicity_oracle_triangle():
             pair = GeneratorPair((lat.width, 0), (lat.twist, lat.height))
             by_gcd = is_cyclic(lat)
             agree = (
-                is_primitive(pair) == by_gcd
+                (content(pair) == 1) == by_gcd
                 and (smith_shape(pair).d1 == 1) == by_gcd
             )
             if agree and n <= 200:

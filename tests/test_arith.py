@@ -11,7 +11,6 @@ from oracles import (
     brute_factor_map,
     brute_is_prime,
     brute_is_squarefree,
-    brute_phi,
     brute_psi_triples,
     brute_sigma,
     linear_sieve,
@@ -23,7 +22,6 @@ from squaretori.arith import (
     WORD_BOUND,
     dedekind_psi,
     divisors,
-    euler_phi,
     factorize,
     is_prime,
     psi_prime,
@@ -41,10 +39,6 @@ def psi_of(n):
 
 def sigma_of(n):
     return sigma(factorize(n))
-
-
-def phi_of(n):
-    return euler_phi(factorize(n))
 
 
 # --- primality and factorization ---------------------------------------
@@ -130,17 +124,6 @@ def test_factorization_must_be_integers():
 
 # --- single-value functions ---------------------------------------------
 
-def test_phi_examples():
-    assert phi_of(1) == 1
-    assert phi_of(9) == 6 == brute_phi(9)
-    assert phi_of(12) == 4 == brute_phi(12)
-
-
-def test_phi_matches_coprime_count():
-    for n in range(1, 400):
-        assert phi_of(n) == brute_phi(n), n
-
-
 def test_psi_examples():
     assert psi_of(1) == 1
     assert psi_of(8) == 12        # p^a: p^(a-1) * (p+1)
@@ -223,12 +206,10 @@ def test_three_psi_routes_agree():
 def test_multiplicative_on_all_coprime_pairs():
     limit = 100_000
     psi_t = [0, 1]
-    phi_t = [0, 1]
     sig_t = [0, 1]
     for n in range(2, limit + 1):
         f = factorize(n)
         psi_t.append(dedekind_psi(f))
-        phi_t.append(euler_phi(f))
         sig_t.append(sigma(f))
     for a in range(2, limit + 1):
         for b in range(a, limit // a + 1):
@@ -236,7 +217,6 @@ def test_multiplicative_on_all_coprime_pairs():
                 continue
             ab = a * b
             assert psi_t[ab] == psi_t[a] * psi_t[b], (a, b)
-            assert phi_t[ab] == phi_t[a] * phi_t[b], (a, b)
             assert sig_t[ab] == sig_t[a] * sig_t[b], (a, b)
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from squaretori.asymptotics import (
     ZETA,
     RatioValue,
     extremal_sequence_rho,
-    first_primes,
     partial_sums,
     qd2_partial_sum,
     rho,
@@ -30,6 +30,8 @@ from squaretori.asymptotics import (
 
 # a few large primes for building factored test values near 10^9
 BIG_PRIMES = (99991, 999983, 104729, 611953)
+# the first 50 primes by trial division, independent of the library's is_prime
+FIRST_PRIMES = list(islice(filter(brute_is_prime, count(2)), 50))
 
 
 def test_zeta_closed_forms():
@@ -49,14 +51,11 @@ def test_zeta_series_agrees_with_closed_forms():
 
 
 def test_first_primes():
-    assert first_primes(6) == [2, 3, 5, 7, 11, 13]
-    ps = first_primes(40)
-    assert ps[-1] == 173
-    assert all(brute_is_prime(p) for p in ps)
-    assert first_primes(0) == []
-    for k in (-1, -6):
-        with pytest.raises(ValueError, match=f"k must be >= 0, got {k}"):
-            first_primes(k)
+    # the extremal sequence reads a fixed prime table; each k pins its first k
+    assert FIRST_PRIMES[39] == 173
+    for k in range(1, 51):
+        by_table = extremal_sequence_rho(k)
+        assert by_table == rho_factored([(p, k) for p in FIRST_PRIMES[:k]]), k
 
 
 # --- rho ------------------------------------------------------------------
@@ -84,6 +83,10 @@ def test_ratio_value_validation():
         RatioValue(7, 6, 7 / 6)  # psi above sigma
     with pytest.raises(ValueError):
         RatioValue(6, 7, 0.85)  # value not the exact quotient
+    with pytest.raises(TypeError):
+        RatioValue(6.0, 7, 6 / 7)
+    with pytest.raises(TypeError):
+        RatioValue(6, 7.0, 6 / 7)
 
 
 def test_rho_factored_examples():
@@ -126,7 +129,7 @@ def test_rho_factored_matches_exact_quotient():
 
 def test_rho_routes_agree_on_large_random_values():
     rng = random.Random(424242)
-    small = first_primes(12)
+    small = FIRST_PRIMES[:12]
     for _ in range(10_000):
         n = 1
         factors = []
@@ -171,6 +174,8 @@ def test_extremal_domain():
         extremal_sequence_rho(0)
     with pytest.raises(ValueError):
         extremal_sequence_rho(51)
+    with pytest.raises(TypeError):
+        extremal_sequence_rho(2.0)
 
 
 # --- partial sums ---------------------------------------------------------------

@@ -1,6 +1,5 @@
 import pickle
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +25,6 @@ from squaretori.lattice import (
     enumerate_lattices,
     hnf_reduce,
     is_cyclic,
-    is_primitive,
     lattice_index,
     permutation_pair_json,
     random_unimodular,
@@ -113,8 +111,10 @@ def test_type_validation():
     with pytest.raises(ValueError):
         QuotientShape(2, 3)  # 2 does not divide 3
     assert HnfLattice(3, 2, 1).index == 6
-    assert QuotientShape(1, 6).is_cyclic
-    assert not QuotientShape(2, 2).is_cyclic
+    with pytest.raises(TypeError):
+        QuotientShape(1.5, 3.0)
+    with pytest.raises(TypeError):
+        QuotientShape(1, 6.0)
 
 
 def test_hnf_lattice_is_an_immutable_named_tuple():
@@ -172,7 +172,6 @@ def test_basis_invariance_under_unimodular_moves():
         assert content(moved) == content(g)
         assert lattice_index(moved) == lattice_index(g)
         assert hnf_reduce(moved) == hnf_reduce(g)
-        assert is_primitive(moved) == is_primitive(g)
 
 
 def test_random_unimodular_zero_steps():
@@ -206,9 +205,9 @@ def test_is_cyclic_examples():
 
 
 def test_is_primitive_examples():
-    assert is_primitive(GeneratorPair((1, 0), (0, 1)))
-    assert not is_primitive(GeneratorPair((2, 0), (0, 2)))
-    assert is_primitive(GeneratorPair((3, 0), (1, 2)))
+    assert content(GeneratorPair((1, 0), (0, 1))) == 1
+    assert content(GeneratorPair((2, 0), (0, 2))) == 2
+    assert content(GeneratorPair((3, 0), (1, 2))) == 1
 
 
 def test_three_oracle_agreement_small():
@@ -216,7 +215,7 @@ def test_three_oracle_agreement_small():
         for lat in enumerate_lattices(n):
             pair = GeneratorPair((lat.width, 0), (lat.twist, lat.height))
             by_gcd = is_cyclic(lat)
-            assert is_primitive(pair) == by_gcd
+            assert (content(pair) == 1) == by_gcd
             assert (smith_shape(pair).d1 == 1) == by_gcd
 
 

@@ -3,8 +3,13 @@
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "squaretori"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "squaretori"
 MAX_LINE = 88
+# public names kept without a non-test reader, each with its reason
+READER_EXCEPTIONS = {
+    "zeta_series": "the tests' independent reference for the ZETA closed forms",
+}
 
 
 def test_source_lines_fit_in_88_columns():
@@ -44,9 +49,45 @@ def test_imported_but_unused_sees_a_leftover_import():
 
 
 def test_every_import_is_used():
+    paths = [
+        path
+        for folder in (SOURCE, ROOT / "tests", ROOT / "demos")
+        for path in sorted(folder.glob("*.py"))
+    ]
     unused = [
-        f"{path.name}:{line}: {name} is imported but unused"
-        for path in sorted(SOURCE.glob("*.py"))
+        f"{path.relative_to(ROOT)}:{line}: {name} is imported but unused"
+        for path in paths
         for line, name in imported_but_unused(ast.parse(path.read_text()))
     ]
     assert not unused, unused
+
+
+def names_read(tree):
+    """Names a module reads, as a bare name or as an attribute."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    } | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_names_read_sees_loads_and_attributes():
+    tree = ast.parse("x = 1\nprint(m.y)\ndef f(z): pass\n")
+    assert names_read(tree) == {"print", "m", "y"}
+
+
+def test_every_public_name_has_a_reader():
+    """Each name in __all__ is read by the library, a demo or the benchmark."""
+    init = ast.parse((SOURCE / "__init__.py").read_text())
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    readers = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
+    readers += [*(ROOT / "demos").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
+    read = set().union(*(names_read(ast.parse(path.read_text())) for path in readers))
+    unread = sorted(set(exported) - read - READER_EXCEPTIONS.keys())
+    assert not unread, unread
+    assert READER_EXCEPTIONS.keys() <= set(exported) - read, "stale exception"
