@@ -12,12 +12,12 @@ Run:  python3 demos/asymptotics.py
 
 import numpy as np
 
-from squaretori import (
+from squaretori.arith import sieve_multiplicative
+from squaretori.asymptotics import (
     ZETA,
     extremal_sequence_rho,
     partial_sums,
     qd2_partial_sum,
-    sieve_multiplicative,
 )
 
 LIMIT = 200_000

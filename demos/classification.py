@@ -9,7 +9,7 @@ as a pair of commuting permutations of its squares.
 Run:  python3 demos/classification.py
 """
 
-from squaretori import (
+from squaretori.lattice import (
     GeneratorPair,
     HnfLattice,
     content,

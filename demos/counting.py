@@ -10,16 +10,15 @@ different formulas for the cyclic count agree.
 Run:  python3 demos/counting.py
 """
 
-from squaretori import (
+from squaretori.arith import (
     dedekind_psi,
-    enumerate_lattices,
     factorize,
-    is_cyclic,
     psi_prime,
     psi_via_cylinders,
     sigma,
     squarefree_indicator,
 )
+from squaretori.lattice import enumerate_lattices, is_cyclic
 
 print("Every torus with 4 squares, as cylinder triples (w, h, t):")
 for lat in enumerate_lattices(4):

@@ -245,6 +245,7 @@ def sieve_multiplicative(
     single-value functions, and psi == sigma exactly at square-free n.
     Deterministic; raises BudgetError when limit > max_sieve.
     """
+    limit, max_sieve = index(limit), index(max_sieve)  # floats raise TypeError
     import numpy as np  # loaded here, so paths without a sieve never import it
 
     if limit < 1:

@@ -42,27 +42,6 @@ _Z2, _Z4 = math.pi**2 / 6, math.pi**4 / 90  # closed forms of zeta(2), zeta(4)
 ZETA = ZetaConstants(_Z2, _Z4, 1 / _Z2, 1 / _Z4, _Z2 / _Z4)
 
 
-def zeta_series(s: int) -> float:
-    """Direct series for zeta(s), s >= 2, with an Euler-Maclaurin tail.
-
-    Sums the first 50 terms 1/k^s, k < M = 51, and estimates the rest by
-    M^(1-s)/(s-1) + M^-s/2 + s M^(-s-1)/12 - s(s+1)(s+2) M^(-s-3)/720;
-    the first omitted correction is below 3e-14. Used to cross-validate
-    the closed-form constants.
-    """
-    if s < 2:
-        raise ValueError("series evaluation requires s >= 2")
-    m = 51
-    head = sum(1.0 / k**s for k in range(1, m))
-    tail = (
-        m ** (1 - s) / (s - 1)
-        + m**-s / 2
-        + s * m ** (-s - 1) / 12
-        - s * (s + 1) * (s + 2) * m ** (-s - 3) / 720
-    )
-    return head + tail
-
-
 @dataclass(frozen=True)
 class RatioValue:
     """psi(n)/sigma(n) with its exact integer numerator and denominator."""
@@ -132,11 +111,15 @@ class SweepRecord(NamedTuple):
     cum_ratio: float
 
 
-def _sieve_for(limit: int, sieve: MultiplicativeSieve | None) -> MultiplicativeSieve:
+def _sieve_for(
+    limit: int, sieve: MultiplicativeSieve | None
+) -> tuple[int, MultiplicativeSieve]:
+    """limit as an exact int (TypeError otherwise), and a sieve covering it."""
+    limit = index(limit)
     # sieve_multiplicative checks limit and the budget for anything not covered
     if sieve is not None and 1 <= limit <= sieve.limit:
-        return sieve
-    return sieve_multiplicative(limit)
+        return limit, sieve
+    return limit, sieve_multiplicative(limit)
 
 
 def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepRecord:
@@ -147,7 +130,7 @@ def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepR
     re-sieving; a shorter one is ignored, and the result is identical
     either way.
     """
-    sv = _sieve_for(limit, sieve)
+    limit, sv = _sieve_for(limit, sieve)
     psi = sv.psi[: limit + 1]
     sig = sv.sigma[: limit + 1]
     cum_psi = int(psi.sum())
@@ -170,7 +153,7 @@ def sweep_stream(
     limit: int, sieve: MultiplicativeSieve | None = None
 ) -> Iterator[SweepRecord]:
     """All census rows 1..limit in order, from one sieve pass."""
-    sv = _sieve_for(limit, sieve)
+    limit, sv = _sieve_for(limit, sieve)
     cum_psi = 0
     cum_sigma = 0
     new = tuple.__new__  # skips the per-row Python-level NamedTuple constructor
@@ -193,7 +176,7 @@ def qd2_partial_sum(limit: int, sieve: MultiplicativeSieve | None = None) -> flo
     """
     import numpy as np
 
-    sv = _sieve_for(limit, sieve)
+    limit, sv = _sieve_for(limit, sieve)
     d = np.arange(limit + 1, dtype=np.float64)
     d[0] = 1.0  # avoid 0/0; index 0 is padding and excluded below
     d *= d

@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader closed early; point stdout at devnull so exit flushes cleanly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, ArithmeticError, arith.BudgetError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, arith.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -201,6 +201,7 @@ def enumerate_lattices(
     ascending twist; filtering with is_cyclic leaves psi(n) of them.
     Raises BudgetError up front when sigma(n) exceeds max_triples.
     """
+    max_triples = index(max_triples)  # a float raises TypeError, not a budget error
     f = factorize(n)
     try:
         total = sigma(f)

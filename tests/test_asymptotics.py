@@ -14,6 +14,7 @@ from oracles import (
     divisor_sum_psi,
     divisor_sum_sigma,
     squarefree_mask,
+    zeta_series,
 )
 from squaretori.arith import factorize, sieve_multiplicative
 from squaretori.asymptotics import (
@@ -25,8 +26,8 @@ from squaretori.asymptotics import (
     rho,
     rho_factored,
     sweep_stream,
-    zeta_series,
 )
+from squaretori.lattice import enumerate_lattices
 
 # a few large primes for building factored test values near 10^9
 BIG_PRIMES = (99991, 999983, 104729, 611953)
@@ -334,3 +335,25 @@ def test_partial_sums_domain(sieve_100k):
                 call(limit, sieve=sieve_100k)
     # a sieve shorter than the limit is ignored, not read past its end
     assert partial_sums(200, sieve=sieve_multiplicative(100)) == partial_sums(200)
+
+
+NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
+# each sized entry point handed a float, with and without a prebuilt sieve sv
+FLOAT_SIZES = {
+    "sieve": lambda sv: sieve_multiplicative(10.0),
+    "max_sieve": lambda sv: sieve_multiplicative(10, max_sieve=10.5),
+    "partial_sums": lambda sv: partial_sums(10.5),
+    "partial_sums-sv": lambda sv: partial_sums(10.5, sieve=sv),
+    "qd2": lambda sv: qd2_partial_sum(10.5),
+    "qd2-sv": lambda sv: qd2_partial_sum(10.5, sieve=sv),
+    "sweep_stream": lambda sv: list(sweep_stream(3.5)),
+    "sweep_stream-sv": lambda sv: list(sweep_stream(3.5, sieve=sv)),
+    "max_triples": lambda sv: enumerate_lattices(4, max_triples=2.5),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_SIZES.values(), ids=FLOAT_SIZES.keys())
+def test_sizes_must_be_integers(call, sieve_100k):
+    # refused by operator.index before numpy sees the value, sieve or no sieve
+    with pytest.raises(TypeError, match=NOT_AN_INTEGER):
+        call(sieve_100k)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from squaretori import arith
 from squaretori.cli import main
 
 
@@ -431,6 +432,17 @@ def test_enumeration_budget_exit(capsys):
 def test_sieve_budget_exit(capsys):
     code, out, err = run_cli(capsys, "--max-sieve", "100", "sweep", "200")
     assert code == 1 and err != ""
+
+
+def test_failed_allocation_exit(capsys, monkeypatch):
+    # stands in for numpy's _ArrayMemoryError without allocating anything
+    def refuse(limit, max_sieve):
+        raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+    monkeypatch.setattr(arith, "sieve_multiplicative", refuse)
+    code, out, err = run_cli(capsys, "sweep", "10")
+    assert code == 1 and out == ""
+    assert err == "error: Unable to allocate 7.28 PiB for an array\n"
 
 
 def test_extremal_range_exit(capsys):

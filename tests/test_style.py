@@ -6,10 +6,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "squaretori"
 MAX_LINE = 88
-# public names kept without a non-test reader, each with its reason
-READER_EXCEPTIONS = {
-    "zeta_series": "the tests' independent reference for the ZETA closed forms",
-}
 
 
 def test_source_lines_fit_in_88_columns():
@@ -25,7 +21,7 @@ def test_source_lines_fit_in_88_columns():
 
 
 def imported_but_unused(tree):
-    """Names a module imports but never reads and does not list in __all__."""
+    """Names a module imports but never reads."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -35,16 +31,11 @@ def imported_but_unused(tree):
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
 def test_imported_but_unused_sees_a_leftover_import():
-    tree = ast.parse("import os\nfrom math import gcd, isqrt\n__all__ = ['gcd']\n")
+    tree = ast.parse("import os\nfrom math import gcd, isqrt\nprint(gcd(4, 6))\n")
     assert imported_but_unused(tree) == [(1, "os"), (2, "isqrt")]
 
 
@@ -76,18 +67,38 @@ def test_names_read_sees_loads_and_attributes():
     assert names_read(tree) == {"print", "m", "y"}
 
 
+def public_names(tree):
+    """Top-level def, class and assigned names of a module not starting with _."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_public_names_sees_defs_classes_and_constants():
+    tree = ast.parse(
+        "import os\nfrom math import gcd\n"
+        "def f(): pass\nclass C: pass\nK = 1\nT: int = 2\n_hidden = 3\n"
+    )
+    assert public_names(tree) == {"f", "C", "K", "T"}
+
+
 def test_every_public_name_has_a_reader():
-    """Each name in __all__ is read by the library, a demo or the benchmark."""
-    init = ast.parse((SOURCE / "__init__.py").read_text())
-    (exported,) = [
-        ast.literal_eval(node.value)
-        for node in init.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-    ]
-    readers = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
-    readers += [*(ROOT / "demos").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
+    """Each module's public names are read by the library, a demo or the benchmark."""
+    modules = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
+    readers = [*modules, *(ROOT / "demos").glob("*.py")]
+    readers.append(ROOT / "perfbench" / "workloads.py")
     read = set().union(*(names_read(ast.parse(path.read_text())) for path in readers))
-    unread = sorted(set(exported) - read - READER_EXCEPTIONS.keys())
+    unread = sorted(
+        f"{path.name}: {name}"
+        for path in modules
+        for name in public_names(ast.parse(path.read_text())) - read
+    )
     assert not unread, unread
-    assert READER_EXCEPTIONS.keys() <= set(exported) - read, "stale exception"
