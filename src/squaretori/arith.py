@@ -36,7 +36,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test (exact for all n below 3.3e24)."""
+    """Deterministic Miller-Rabin test (exact for all n below 3.18e23)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -66,13 +66,15 @@ def is_prime(n: int) -> bool:
 def _prime_powers(factors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of a factor list, checked and as exact ints.
 
-    Non-integers raise TypeError instead of being truncated. Each prime
-    must pass is_prime, each exponent be >= 1, and the primes must
-    strictly increase (ValueError otherwise).
+    Non-integers raise TypeError and primes above WORD_BOUND OverflowError.
+    Each prime must pass is_prime, each exponent (unbounded) be >= 1, and
+    the primes must strictly increase (ValueError otherwise).
     """
     pairs = tuple((index(q), index(a)) for q, a in factors)
     previous = 1
     for q, a in pairs:
+        if q > WORD_BOUND:  # before is_prime, which is exact only below 3.18e23
+            raise OverflowError(f"prime factor {q} leaves the 64-bit range")
         if not is_prime(q):
             raise ValueError(f"{q} is not a valid prime factor")
         if a < 1:
@@ -101,6 +103,8 @@ class PrimeFactorization:
         object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
+        if self.n > WORD_BOUND:
+            raise OverflowError(f"n = {self.n} leaves the 64-bit range")
         product = prod(p**a for p, a in self.factors)
         if product != self.n:
             raise ValueError(f"factors multiply to {product}, not {self.n}")

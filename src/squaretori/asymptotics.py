@@ -27,19 +27,10 @@ from .arith import (
 )
 
 
-@dataclass(frozen=True)
-class ZetaConstants:
-    """zeta(2), zeta(4) and the derived ratios the asymptotic checks use."""
-
-    zeta2: float
-    zeta4: float
-    inv_zeta2: float
-    inv_zeta4: float
-    ratio_z2_z4: float
-
-
 _Z2, _Z4 = math.pi**2 / 6, math.pi**4 / 90  # closed forms of zeta(2), zeta(4)
-ZETA = ZetaConstants(_Z2, _Z4, 1 / _Z2, 1 / _Z4, _Z2 / _Z4)
+INV_ZETA2 = 1 / _Z2  # the liminf of rho(n)
+INV_ZETA4 = 1 / _Z4  # the limit of sum psi / sum sigma
+ZETA2_OVER_ZETA4 = _Z2 / _Z4  # sum of 1/d^2 over square-free d; not 15/pi^2 bitwise
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> None:
     sv = arith.sieve_multiplicative(args.n, max_sieve=args.max_sieve)
     _emit(out, args.format, _SWEEP, asymptotics.sweep_stream(args.n, sieve=sv))
     final = asymptotics.partial_sums(args.n, sieve=sv).cum_ratio
-    deviation = abs(final - asymptotics.ZETA.inv_zeta4)
+    deviation = abs(final - asymptotics.INV_ZETA4)
     out.write(_SWEEP_FOOTER[args.format] % (final, deviation))
 
 
@@ -100,7 +100,7 @@ def _cmd_extremal(args: argparse.Namespace, out: IO[str]) -> None:
     # rho(kmax) runs even when the range is empty, so its range check
     # refuses any kmax outside [1, 50] before anything is written
     values = [rho(k) for k in range(1, args.kmax)] + [rho(args.kmax)]
-    inv_z2 = asymptotics.ZETA.inv_zeta2
+    inv_z2 = asymptotics.INV_ZETA2
     rows = [(k, v, v - inv_z2) for k, v in enumerate(values, 1)]
     _emit(out, args.format, _EXTREMAL, rows)
 

@@ -24,16 +24,12 @@ from .arith import WORD_BOUND, BudgetError, divisors, factorize, sigma
 DEFAULT_MAX_TRIPLES = 10_000_000
 
 
-class RankError(ValueError):
-    """Generators fail to span a rank-2 sublattice (zero determinant)."""
-
-
 @dataclass(frozen=True)
 class GeneratorPair:
     """Two integer vectors spanning a finite-index sublattice of Z^2.
 
     Coordinates and the index must lie in the signed 64-bit range
-    (OverflowError otherwise).
+    (OverflowError otherwise); linearly dependent vectors raise ValueError.
     """
 
     u: tuple[int, int]
@@ -46,7 +42,7 @@ class GeneratorPair:
         if max(map(abs, self.u + self.v)) > WORD_BOUND or abs(det) > WORD_BOUND:
             raise OverflowError(f"generators {self.u}, {self.v} leave the 64-bit range")
         if det == 0:
-            raise RankError(
+            raise ValueError(
                 f"generators {self.u} and {self.v} are linearly dependent"
             )
 

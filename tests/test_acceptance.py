@@ -29,7 +29,9 @@ from squaretori.arith import (
     squarefree_indicator,
 )
 from squaretori.asymptotics import (
-    ZETA,
+    INV_ZETA2,
+    INV_ZETA4,
+    ZETA2_OVER_ZETA4,
     extremal_sequence_rho,
     partial_sums,
     qd2_partial_sum,
@@ -196,7 +198,7 @@ def test_07_ratio_bounds_sieved():
     ratios = sv.psi[1:] / sv.sigma[1:]
     low = float(ratios.min())
     high = float(ratios.max())
-    bounds_ok = low >= ZETA.inv_zeta2 - 1e-12 and high <= 1.0
+    bounds_ok = low >= INV_ZETA2 - 1e-12 and high <= 1.0
     # rho = 1 exactly on square-free n, against a mask struck by p^2 multiples
     ones_match = bool(
         ((sv.psi[1:] == sv.sigma[1:]) == squarefree_mask(1_000_000)[1:]).all()
@@ -216,11 +218,11 @@ def test_07_ratio_bounds_sieved():
 
 def test_08_liminf_extremal_sequence():
     values = [extremal_sequence_rho(k) for k in range(1, 41)]
-    above = all(v >= ZETA.inv_zeta2 for v in values)
+    above = all(v >= INV_ZETA2 for v in values)
     start = time.perf_counter()
     at_40 = extremal_sequence_rho(40)
     elapsed = time.perf_counter() - start
-    deviation = abs(at_40 - ZETA.inv_zeta2)
+    deviation = abs(at_40 - INV_ZETA2)
     close = deviation < 1e-6
     within_budget = elapsed < 1e-3
     ok = above and close and within_budget
@@ -249,7 +251,7 @@ def test_09_mean_order_sweep():
     final_dev = float(fields["deviation"])
     sv = sieve_multiplicative(100_000)
     devs = [
-        abs(partial_sums(limit, sieve=sv).cum_ratio - ZETA.inv_zeta4)
+        abs(partial_sums(limit, sieve=sv).cum_ratio - INV_ZETA4)
         for limit in (10**3, 10**4, 10**5)
     ] + [final_dev]
     decreasing = all(b < a for a, b in zip(devs, devs[1:]))
@@ -271,7 +273,7 @@ def test_10_squarefree_zeta_sum():
     start = time.perf_counter()
     value = qd2_partial_sum(1_000_000)
     elapsed = time.perf_counter() - start
-    diff = abs(value - ZETA.ratio_z2_z4)
+    diff = abs(value - ZETA2_OVER_ZETA4)
     ok = diff < 2e-6
     within_budget = elapsed < 10.0
     report(

@@ -122,6 +122,18 @@ def test_factorization_must_be_integers():
     assert type(f.n) is int and f.factors == ((2, 2),) and dedekind_psi(f) == 6
 
 
+def test_factor_lists_stay_in_64_bits():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to bases 2..37,
+    # so only the 64-bit bound keeps it out of a factor list
+    psi_12 = 318665857834031151167461
+    with pytest.raises(OverflowError):
+        PrimeFactorization(psi_12, ((psi_12, 1),))
+    with pytest.raises(OverflowError):
+        rho_factored([(psi_12, 1)])
+    with pytest.raises(OverflowError):
+        PrimeFactorization(2**70, ((2, 70),))
+
+
 # --- single-value functions ---------------------------------------------
 
 def test_psi_examples():

@@ -18,7 +18,9 @@ from oracles import (
 )
 from squaretori.arith import factorize, sieve_multiplicative
 from squaretori.asymptotics import (
-    ZETA,
+    INV_ZETA2,
+    INV_ZETA4,
+    ZETA2_OVER_ZETA4,
     RatioValue,
     extremal_sequence_rho,
     partial_sums,
@@ -36,17 +38,14 @@ FIRST_PRIMES = list(islice(filter(brute_is_prime, count(2)), 50))
 
 
 def test_zeta_closed_forms():
-    z = ZETA
-    assert z.zeta2 == math.pi**2 / 6
-    assert z.zeta4 == math.pi**4 / 90
-    assert z.inv_zeta2 == 1 / z.zeta2
-    assert z.inv_zeta4 == 1 / z.zeta4
-    assert z.ratio_z2_z4 == z.zeta2 / z.zeta4
+    assert INV_ZETA2 == 1 / (math.pi**2 / 6)
+    assert INV_ZETA4 == 1 / (math.pi**4 / 90)
+    assert ZETA2_OVER_ZETA4 == (math.pi**2 / 6) / (math.pi**4 / 90)
 
 
 def test_zeta_series_agrees_with_closed_forms():
-    assert abs(zeta_series(2) - ZETA.zeta2) <= 1e-12
-    assert abs(zeta_series(4) - ZETA.zeta4) <= 1e-12
+    assert abs(zeta_series(2) - 1 / INV_ZETA2) <= 1e-12
+    assert abs(zeta_series(4) - 1 / INV_ZETA4) <= 1e-12
     with pytest.raises(ValueError):
         zeta_series(1)
 
@@ -163,8 +162,8 @@ def test_extremal_examples():
 
 def test_extremal_sequence_stays_above_liminf():
     values = [extremal_sequence_rho(k) for k in range(1, 41)]
-    assert all(v >= ZETA.inv_zeta2 for v in values)
-    deviations = [v - ZETA.inv_zeta2 for v in values]
+    assert all(v >= INV_ZETA2 for v in values)
+    deviations = [v - INV_ZETA2 for v in values]
     # strictly decreasing from k = 2 onward
     for k in range(2, 40):
         assert deviations[k] < deviations[k - 1], k
@@ -253,7 +252,7 @@ def test_mean_order_deviation_shrinks(sieve_million):
     devs = []
     for limit in (10**3, 10**4, 10**5, 10**6):
         record = partial_sums(limit, sieve=sieve_million)
-        devs.append(abs(record.cum_ratio - ZETA.inv_zeta4))
+        devs.append(abs(record.cum_ratio - INV_ZETA4))
     assert devs == sorted(devs, reverse=True)
     assert devs[1] < devs[0] and devs[2] < devs[1] and devs[3] < devs[2]
     # one constant C <= 10 covers every scale: |dev| <= C log(N)/N
@@ -267,7 +266,7 @@ def test_mean_order_deviation_shrinks(sieve_million):
 def test_rho_bounds_over_sieved_range(sieve_million):
     sv = sieve_million
     ratios = sv.psi[1:] / sv.sigma[1:]
-    assert float(ratios.min()) >= ZETA.inv_zeta2 - 1e-12
+    assert float(ratios.min()) >= INV_ZETA2 - 1e-12
     assert float(ratios.max()) <= 1.0
     exact_ones = sv.psi[1:] == sv.sigma[1:]
     assert bool((exact_ones == squarefree_mask(sv.limit)[1:]).all())
@@ -281,7 +280,7 @@ def test_qd2_examples():
 
 
 def test_qd2_converges_with_tail_bound(sieve_100k):
-    target = ZETA.ratio_z2_z4
+    target = ZETA2_OVER_ZETA4
     for limit in (10**3, 10**4, 10**5):
         value = qd2_partial_sum(limit, sieve=sieve_100k)
         assert abs(value - target) <= 1.0 / limit

@@ -73,12 +73,14 @@ def public_names(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            names.update(
-                target.id for target in node.targets if isinstance(target, ast.Name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(  # through tuple unpacking; x.y = ... binds no name
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
             )
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
     return {name for name in names if not name.startswith("_")}
 
 
@@ -86,12 +88,34 @@ def test_public_names_sees_defs_classes_and_constants():
     tree = ast.parse(
         "import os\nfrom math import gcd\n"
         "def f(): pass\nclass C: pass\nK = 1\nT: int = 2\n_hidden = 3\n"
+        "A, B = 1, 2\nx.y = 4\n"
     )
-    assert public_names(tree) == {"f", "C", "K", "T"}
+    assert public_names(tree) == {"f", "C", "K", "T", "A", "B"}
+
+
+def public_fields(tree):
+    """Annotated fields of a module's top-level classes, as Class.field."""
+    return {
+        f"{node.name}.{item.target.id}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        if not item.target.id.startswith("_")
+    }
+
+
+def test_public_fields_sees_annotated_class_fields():
+    tree = ast.parse(
+        "class C:\n    x: int\n    y: int = 0\n    _z: int\n    w = 1\n"
+        "def f():\n    class D:\n        q: int\n"
+        "K: int = 1\n"
+    )
+    assert public_fields(tree) == {"C.x", "C.y"}
 
 
 def test_every_public_name_has_a_reader():
-    """Each module's public names are read by the library, a demo or the benchmark."""
+    """Public names and class fields are read by the library, demos or benchmark."""
     modules = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
     readers = [*modules, *(ROOT / "demos").glob("*.py")]
     readers.append(ROOT / "perfbench" / "workloads.py")
@@ -99,6 +123,8 @@ def test_every_public_name_has_a_reader():
     unread = sorted(
         f"{path.name}: {name}"
         for path in modules
-        for name in public_names(ast.parse(path.read_text())) - read
+        for tree in [ast.parse(path.read_text())]
+        for name in public_names(tree) | public_fields(tree)
+        if name.rpartition(".")[2] not in read
     )
     assert not unread, unread
