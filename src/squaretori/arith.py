@@ -36,7 +36,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test (exact for all n below 3.18e23)."""
+    """Deterministic Miller-Rabin test for integers n <= 2**63 - 1."""
+    n = index(n)
+    if n > WORD_BOUND:  # the witnesses are proven exact only below 3.18e23
+        raise OverflowError(f"{n} leaves the 64-bit range")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -66,15 +69,13 @@ def is_prime(n: int) -> bool:
 def _prime_powers(factors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of a factor list, checked and as exact ints.
 
-    Non-integers raise TypeError and primes above WORD_BOUND OverflowError.
-    Each prime must pass is_prime, each exponent (unbounded) be >= 1, and
-    the primes must strictly increase (ValueError otherwise).
+    Non-integers raise TypeError and primes above WORD_BOUND OverflowError
+    (from is_prime). Each prime must pass is_prime, each exponent (unbounded)
+    be >= 1, and the primes must strictly increase (ValueError otherwise).
     """
     pairs = tuple((index(q), index(a)) for q, a in factors)
     previous = 1
     for q, a in pairs:
-        if q > WORD_BOUND:  # before is_prime, which is exact only below 3.18e23
-            raise OverflowError(f"prime factor {q} leaves the 64-bit range")
         if not is_prime(q):
             raise ValueError(f"{q} is not a valid prime factor")
         if a < 1:
@@ -123,8 +124,10 @@ def factorize(n: int) -> PrimeFactorization:
     Accepts 1 <= n <= 2**63 - 1; factorize(1) has an empty factor list.
     """
     n = index(n)  # a float raises TypeError here, before any trial division
-    if not 1 <= n <= WORD_BOUND:
-        raise ValueError(f"n must be in [1, {WORD_BOUND}], got {n}")
+    if n > WORD_BOUND:
+        raise OverflowError(f"n = {n} leaves the 64-bit range")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     factors = []
     m = n
     if m % 2 == 0:

@@ -17,6 +17,7 @@ from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import (
+    WORD_BOUND,
     MultiplicativeSieve,
     PrimeFactorization,
     _prime_powers,
@@ -46,6 +47,8 @@ class RatioValue:
         object.__setattr__(self, "sigma", index(self.sigma))
         if self.psi < 1 or self.sigma < self.psi:
             raise ValueError("need 1 <= psi <= sigma")
+        if self.sigma > WORD_BOUND:
+            raise OverflowError(f"sigma = {self.sigma} leaves the 64-bit range")
         if self.value != self.psi / self.sigma:
             raise ValueError("value must equal psi/sigma in binary64")
 

@@ -70,7 +70,7 @@ def _cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
     is_cyclic = lattice.is_cyclic
     rows = (  # an HnfLattice is the tuple (w, h, t), so + appends the flag
         lat + (_BOOL[cyclic],)
-        for lat in lattice.enumerate_lattices(args.n, max_triples=args.max_triples)
+        for lat in lattice.enumerate_lattices(args.n)
         if (cyclic := is_cyclic(lat)) or not args.cyclic_only
     )
     _emit(out, args.format, _ENUMERATE, rows)
@@ -115,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("csv", "json", "plain"),
         default="plain",
         help="output format (default: plain)",
-    )
-    parser.add_argument(
-        "--max-triples",
-        type=int,
-        default=lattice.DEFAULT_MAX_TRIPLES,
-        metavar="N",
-        help="enumeration budget in triples",
     )
     parser.add_argument(
         "--max-sieve",

@@ -20,8 +20,8 @@ from typing import Iterator, NamedTuple
 
 from .arith import WORD_BOUND, BudgetError, divisors, factorize, sigma
 
-# enumerate_lattices' default budget in triples; to_permutation_pair's in squares
-DEFAULT_MAX_TRIPLES = 10_000_000
+# enumerate_lattices' budget in triples; to_permutation_pair's in squares
+MAX_TRIPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,9 @@ class GeneratorPair:
     v: tuple[int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", (index(self.u[0]), index(self.u[1])))
-        object.__setattr__(self, "v", (index(self.v[0]), index(self.v[1])))
+        (u0, u1), (v0, v1) = self.u, self.v
+        object.__setattr__(self, "u", (index(u0), index(u1)))
+        object.__setattr__(self, "v", (index(v0), index(v1)))
         det = self.u[0] * self.v[1] - self.u[1] * self.v[0]
         if max(map(abs, self.u + self.v)) > WORD_BOUND or abs(det) > WORD_BOUND:
             raise OverflowError(f"generators {self.u}, {self.v} leave the 64-bit range")
@@ -97,6 +98,8 @@ class QuotientShape:
         object.__setattr__(self, "d2", index(self.d2))
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("invariant factors must be positive")
+        if self.d2 > WORD_BOUND:
+            raise OverflowError(f"d2 = {self.d2} leaves the 64-bit range")
         if self.d2 % self.d1 != 0:
             raise ValueError(f"d1={self.d1} must divide d2={self.d2}")
 
@@ -188,25 +191,22 @@ def is_cyclic(lat: HnfLattice) -> bool:
     return gcd(lat.width, lat.height, lat.twist) == 1
 
 
-def enumerate_lattices(
-    n: int, max_triples: int = DEFAULT_MAX_TRIPLES
-) -> Iterator[HnfLattice]:
+def enumerate_lattices(n: int) -> Iterator[HnfLattice]:
     """All sublattices of index n as cylinder triples, lazily.
 
     Yields exactly sigma(n) lattices, ordered by ascending width and then
     ascending twist; filtering with is_cyclic leaves psi(n) of them.
-    Raises BudgetError up front when sigma(n) exceeds max_triples.
+    Raises BudgetError up front when sigma(n) exceeds MAX_TRIPLES.
     """
-    max_triples = index(max_triples)  # a float raises TypeError, not a budget error
     f = factorize(n)
     try:
         total = sigma(f)
     except OverflowError as exc:
         raise BudgetError(f"sigma({n}) overflows; enumeration refused") from exc
-    if total > max_triples:
+    if total > MAX_TRIPLES:
         raise BudgetError(
             f"enumerating index {n} needs {total} triples, over the "
-            f"budget of {max_triples}"
+            f"budget of {MAX_TRIPLES}"
         )
 
     def generate() -> Iterator[HnfLattice]:
@@ -230,11 +230,11 @@ def to_permutation_pair(lat: HnfLattice) -> tuple[list[int], list[int]]:
     Both are returned 0-based in image-of-index form. They commute, act
     transitively, and generate an abelian group of order width * height
     that is cyclic exactly when the lattice is. Refuses (BudgetError) a
-    torus of more than DEFAULT_MAX_TRIPLES squares.
+    torus of more than MAX_TRIPLES squares.
     """
     n = lat.index
-    if n > DEFAULT_MAX_TRIPLES:
-        raise BudgetError(f"{n} squares exceed the budget of {DEFAULT_MAX_TRIPLES}")
+    if n > MAX_TRIPLES:
+        raise BudgetError(f"{n} squares exceed the budget of {MAX_TRIPLES}")
     w, h, t = lat.width, lat.height, lat.twist
     horizontal = [0] * n
     vertical = [0] * n

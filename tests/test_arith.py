@@ -54,6 +54,17 @@ def test_is_prime_large_values():
     assert is_prime(9973)
 
 
+def test_is_prime_contract():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to bases 2..37
+    for n in (7.0, 2.5):
+        with pytest.raises(TypeError):
+            is_prime(n)
+    for n in (2**63, 318665857834031151167461):
+        with pytest.raises(OverflowError):
+            is_prime(n)
+    assert is_prime(2**63 - 25)  # the largest prime in the 64-bit range
+
+
 def test_factorize_examples():
     assert factorize(1).factors == ()
     assert factorize(12).factors == ((2, 2), (3, 1))
@@ -71,7 +82,7 @@ def test_factorize_domain_errors():
         factorize(0)
     with pytest.raises(ValueError):
         factorize(-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(OverflowError):
         factorize(2**63)
     factorize(WORD_BOUND)  # the bound itself is fine
 

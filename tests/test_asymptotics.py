@@ -29,7 +29,6 @@ from squaretori.asymptotics import (
     rho_factored,
     sweep_stream,
 )
-from squaretori.lattice import enumerate_lattices
 
 # a few large primes for building factored test values near 10^9
 BIG_PRIMES = (99991, 999983, 104729, 611953)
@@ -87,6 +86,8 @@ def test_ratio_value_validation():
         RatioValue(6.0, 7, 6 / 7)
     with pytest.raises(TypeError):
         RatioValue(6, 7.0, 6 / 7)
+    with pytest.raises(OverflowError):
+        RatioValue(1, 2**64, 2**-64)  # the quotient is exact, sigma is not 64-bit
 
 
 def test_rho_factored_examples():
@@ -347,7 +348,6 @@ FLOAT_SIZES = {
     "qd2-sv": lambda sv: qd2_partial_sum(10.5, sieve=sv),
     "sweep_stream": lambda sv: list(sweep_stream(3.5)),
     "sweep_stream-sv": lambda sv: list(sweep_stream(3.5, sieve=sv)),
-    "max_triples": lambda sv: enumerate_lattices(4, max_triples=2.5),
 }
 
 

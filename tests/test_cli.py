@@ -411,6 +411,9 @@ def test_overflow_at_the_largest_input(capsys):
     code, out, err = run_cli(capsys, "count", "9223372036854775807")
     assert code == 1 and out == ""
     assert err == "error: psi(9223372036854775807) exceeds the 64-bit bound\n"
+    code, out, err = run_cli(capsys, "count", "9223372036854775808")  # one past it
+    assert code == 1 and out == ""
+    assert err == "error: n = 9223372036854775808 leaves the 64-bit range\n"
 
 
 def test_rank_error_exit(capsys):
@@ -425,8 +428,12 @@ def test_classify_outside_64_bits_exit(capsys):
 
 
 def test_enumeration_budget_exit(capsys):
-    code, out, err = run_cli(capsys, "--max-triples", "3", "enumerate", "12")
-    assert code == 1 and err != ""
+    code, out, err = run_cli(capsys, "enumerate", "4611686018427387904")  # 2**62
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as usage:  # the budget is not an option
+        main(["--max-triples", "3", "enumerate", "12"])
+    assert usage.value.code == 2
 
 
 def test_sieve_budget_exit(capsys):

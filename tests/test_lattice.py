@@ -87,6 +87,10 @@ def test_generators_must_be_integers():
     for u, v in (((1.5, 2), (0, 1)), ((1, 2), (0, 1.0)), (("1", 2), (0, 1))):
         with pytest.raises(TypeError):
             GeneratorPair(u, v)
+    # exactly two coordinates per vector: a third is refused, not dropped
+    for u, v in (((1, 2, 3), (0, 1, 99)), ((1,), (0, 1)), ((1, 2), ())):
+        with pytest.raises(ValueError):
+            GeneratorPair(u, v)
 
 
 def test_hnf_lattice_must_be_integers_within_64_bits():
@@ -114,6 +118,9 @@ def test_type_validation():
         QuotientShape(1.5, 3.0)
     with pytest.raises(TypeError):
         QuotientShape(1, 6.0)
+    with pytest.raises(OverflowError):
+        QuotientShape(1, 2**64)  # d1 | d2 bounds d1 once d2 is in 64 bits
+    assert QuotientShape(1, 2**63 - 1).d2 == 2**63 - 1
 
 
 def test_hnf_lattice_is_an_immutable_named_tuple():
@@ -265,8 +272,13 @@ def test_enumerate_matches_validated_construction(n):
 
 
 def test_enumerate_budget():
-    with pytest.raises(BudgetError):
-        enumerate_lattices(12, max_triples=3)
+    # refused before the first row: 2**62 has sigma = 2**63 - 1 triples, and
+    # sigma(3 * 2**61) leaves 64 bits, an overflow reported as the budget
+    for n in (2**62, 3 * 2**61):
+        with pytest.raises(BudgetError):
+            enumerate_lattices(n)
+    with pytest.raises(TypeError):
+        enumerate_lattices(12, max_triples=3)  # the budget is a constant
 
 
 # --- permutation pairs --------------------------------------------------------

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from squaretori.cli import build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "squaretori"
 MAX_LINE = 88
@@ -128,3 +130,29 @@ def test_every_public_name_has_a_reader():
         if name.rpartition(".")[2] not in read
     )
     assert not unread, unread
+
+
+def readme_global_flags(text):
+    """Options that open the bullets of README's "Global flags" list."""
+    bullets = text.split("Global flags", 1)[1].split("\n\n")[1]  # after the lead-in
+    return {
+        line.split("`")[1].split()[0]
+        for line in bullets.splitlines()
+        if line.startswith("- `")
+    }
+
+
+def test_readme_global_flags_sees_each_bullet():
+    text = "Global flags, first:\n\n- `--a {x,y}` one\n  more\n- `--b N` two\n\n- `--c`\n"
+    assert readme_global_flags(text) == {"--a", "--b"}
+
+
+def test_readme_names_exactly_the_global_flags():
+    parser = build_parser()
+    options = {
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert readme_global_flags((ROOT / "README.md").read_text()) == options
