@@ -32,6 +32,16 @@ class BudgetError(RuntimeError):
     """An operation would exceed a declared resource budget."""
 
 
+def _word(x: int, name: str = "n") -> int:
+    """x as an exact int in [1, WORD_BOUND]: the one check of every count and size."""
+    x = index(x)
+    if x < 1:
+        raise ValueError(f"{name} must be >= 1, got {x}")
+    if x > WORD_BOUND:
+        raise OverflowError(f"{name} = {x} leaves the 64-bit range")
+    return x
+
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -101,14 +111,10 @@ class PrimeFactorization:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", _prime_powers(self.factors))
-        object.__setattr__(self, "n", index(self.n))
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.n > WORD_BOUND:
-            raise OverflowError(f"n = {self.n} leaves the 64-bit range")
-        product = prod(p**a for p, a in self.factors)
-        if product != self.n:
-            raise ValueError(f"factors multiply to {product}, not {self.n}")
+        object.__setattr__(self, "n", _word(self.n))
+        # p**63 > WORD_BOUND >= n, so an exponent capped at 63 still mismatches
+        if prod(p ** min(a, 63) for p, a in self.factors) != self.n:
+            raise ValueError(f"the factors do not multiply to {self.n}")
 
 
 def _checked(value: int, name: str, n: int) -> int:
@@ -123,11 +129,7 @@ def factorize(n: int) -> PrimeFactorization:
 
     Accepts 1 <= n <= 2**63 - 1; factorize(1) has an empty factor list.
     """
-    n = index(n)  # a float raises TypeError here, before any trial division
-    if n > WORD_BOUND:
-        raise OverflowError(f"n = {n} leaves the 64-bit range")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _word(n)  # a float raises TypeError here, before any trial division
     factors = []
     m = n
     if m % 2 == 0:
@@ -252,11 +254,9 @@ def sieve_multiplicative(
     single-value functions, and psi == sigma exactly at square-free n.
     Deterministic; raises BudgetError when limit > max_sieve.
     """
-    limit, max_sieve = index(limit), index(max_sieve)  # floats raise TypeError
+    limit, max_sieve = _word(limit, "limit"), index(max_sieve)  # floats: TypeError
     import numpy as np  # loaded here, so paths without a sieve never import it
 
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > max_sieve:
         raise BudgetError(
             f"sieve of {limit} exceeds the budget of {max_sieve}; "

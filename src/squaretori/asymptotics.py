@@ -17,10 +17,10 @@ from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import (
-    WORD_BOUND,
     MultiplicativeSieve,
     PrimeFactorization,
     _prime_powers,
+    _word,
     dedekind_psi,
     is_prime,
     sieve_multiplicative,
@@ -43,12 +43,10 @@ class RatioValue:
     value: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "psi", index(self.psi))
-        object.__setattr__(self, "sigma", index(self.sigma))
-        if self.psi < 1 or self.sigma < self.psi:
-            raise ValueError("need 1 <= psi <= sigma")
-        if self.sigma > WORD_BOUND:
-            raise OverflowError(f"sigma = {self.sigma} leaves the 64-bit range")
+        object.__setattr__(self, "psi", _word(self.psi, "psi"))
+        object.__setattr__(self, "sigma", _word(self.sigma, "sigma"))
+        if self.sigma < self.psi:
+            raise ValueError("need psi <= sigma")
         if self.value != self.psi / self.sigma:
             raise ValueError("value must equal psi/sigma in binary64")
 
@@ -72,7 +70,7 @@ def rho_factored(factors: Sequence[tuple[int, int]]) -> float:
     value = 1.0
     for q, a in _prime_powers(factors):
         value *= 1.0 - 1.0 / (q * q)
-        if (a + 1) * math.log2(q) <= 63:
+        if a < 63 and (a + 1) * math.log2(q) <= 63:
             value /= 1.0 - 1.0 / float(q) ** (a + 1)
     return value
 

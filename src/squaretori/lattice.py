@@ -18,7 +18,7 @@ from math import gcd
 from operator import index
 from typing import Iterator, NamedTuple
 
-from .arith import WORD_BOUND, BudgetError, divisors, factorize, sigma
+from .arith import WORD_BOUND, BudgetError, _word, divisors, factorize, sigma
 
 # enumerate_lattices' budget in triples; to_permutation_pair's in squares
 MAX_TRIPLES = 10_000_000
@@ -68,13 +68,11 @@ class HnfLattice(_Cylinder):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, width: int, height: int, twist: int) -> HnfLattice:
-        width, height, twist = index(width), index(height), index(twist)
-        if width < 1 or height < 1:
-            raise ValueError("width and height must be positive")
+        width, height = _word(width, "width"), _word(height, "height")
+        twist = index(twist)
         if not 0 <= twist < width:
             raise ValueError("twist must satisfy 0 <= twist < width")
-        if width * height > WORD_BOUND:
-            raise OverflowError(f"index {width} * {height} leaves the 64-bit range")
+        _word(width * height, "index")
         return tuple.__new__(cls, (width, height, twist))
 
     @property
@@ -94,12 +92,8 @@ class QuotientShape:
     d2: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d1", index(self.d1))
-        object.__setattr__(self, "d2", index(self.d2))
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("invariant factors must be positive")
-        if self.d2 > WORD_BOUND:
-            raise OverflowError(f"d2 = {self.d2} leaves the 64-bit range")
+        object.__setattr__(self, "d1", _word(self.d1, "d1"))
+        object.__setattr__(self, "d2", _word(self.d2, "d2"))
         if self.d2 % self.d1 != 0:
             raise ValueError(f"d1={self.d1} must divide d2={self.d2}")
 
@@ -198,14 +192,12 @@ def enumerate_lattices(n: int) -> Iterator[HnfLattice]:
     ascending twist; filtering with is_cyclic leaves psi(n) of them.
     Raises BudgetError up front when sigma(n) exceeds MAX_TRIPLES.
     """
-    f = factorize(n)
-    try:
-        total = sigma(f)
-    except OverflowError as exc:
-        raise BudgetError(f"sigma({n}) overflows; enumeration refused") from exc
+    n = _word(n)
+    # sigma(n) >= n + 1 for n > 1, so a larger n is refused before it is factored
+    total = sigma(f := factorize(n)) if n < MAX_TRIPLES else n + 1
     if total > MAX_TRIPLES:
         raise BudgetError(
-            f"enumerating index {n} needs {total} triples, over the "
+            f"enumerating index {n} needs at least {total} triples, over the "
             f"budget of {MAX_TRIPLES}"
         )
 
@@ -263,11 +255,13 @@ def permutation_pair_json(lat: HnfLattice) -> str:
 def random_unimodular(g: GeneratorPair, seed: int, steps: int) -> GeneratorPair:
     """A different basis of the same sublattice, by seeded elementary moves.
 
-    Applies `steps` random column operations (swap the generators, negate
-    one, or add a small integer multiple of one to the other), driven
+    Applies `steps` >= 0 random column operations (swap the generators,
+    negate one, or add a small integer multiple of one to the other), driven
     deterministically by `seed`. Every move is unimodular, so the lattice,
     its index, and its content are unchanged.
     """
+    if index(steps) < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     rng = random.Random(seed)
     u = list(g.u)
     v = list(g.v)

@@ -1,3 +1,7 @@
+import signal
+import time
+from contextlib import contextmanager
+
 import pytest
 
 from squaretori.arith import sieve_multiplicative
@@ -11,3 +15,28 @@ def sieve_100k():
 @pytest.fixture(scope="session")
 def sieve_million():
     return sieve_multiplicative(1_000_000)
+
+
+@contextmanager
+def _within(seconds):
+    """Fail the block if it runs past `seconds`; a SIGALRM cuts a hang short."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # work inside one C call cannot be interrupted, so time it as well
+    assert time.perf_counter() - start < seconds
+
+
+@pytest.fixture
+def within():
+    """within(s) is a context manager that fails its block after s seconds."""
+    return _within

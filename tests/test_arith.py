@@ -145,6 +145,17 @@ def test_factor_lists_stay_in_64_bits():
         PrimeFactorization(2**70, ((2, 70),))
 
 
+def test_factor_list_exponents_cannot_outgrow_n(within):
+    # an exponent above 62 cannot match an n below 2**63, so no such power is
+    # taken: 2**(2**40) would need 128 GiB, and 2**20000 has 6021 digits,
+    # past the int-to-str limit of an error message that printed it
+    first_100 = [p for p in range(2, 542) if is_prime(p)]
+    assert len(first_100) == 100
+    for factors in (((2, 2**40),), ((2, 20000),), tuple((p, 62) for p in first_100)):
+        with within(0.1), pytest.raises(ValueError, match="do not multiply to 2"):
+            PrimeFactorization(2, factors)
+
+
 # --- single-value functions ---------------------------------------------
 
 def test_psi_examples():

@@ -118,6 +118,9 @@ def test_rho_factored_domain_errors():
 def test_rho_factored_exponent_capping():
     # 2^201 is far past 64 bits: the denominator factor collapses to 1
     assert rho_factored([(2, 200)]) == 1.0 - 0.25
+    # exponents of any size: (a + 1) * log2(q) would not even convert to float
+    assert rho_factored([(2, 10**400)]) == 0.75
+    assert rho_factored([(3, 2**1100)]) == 8 / 9
 
 
 def test_rho_factored_matches_exact_quotient():

@@ -1,0 +1,160 @@
+"""One integer contract at every public entry, as a table.
+
+Each integer parameter of a public callable gets a float, -1, 0 and 2**63.
+Each probe must be refused at once with TypeError, ValueError,
+OverflowError or BudgetError, unless the table gives its documented value.
+A public name with neither a row here nor a place in NO_INTEGER fails the
+test, so the contract cannot drift as names come and go.
+"""
+
+import ast
+
+import pytest
+
+from squaretori.arith import (
+    BudgetError,
+    PrimeFactorization,
+    factorize,
+    is_prime,
+    psi_prime,
+    psi_via_cylinders,
+    sieve_multiplicative,
+)
+from squaretori.asymptotics import (
+    RatioValue,
+    extremal_sequence_rho,
+    partial_sums,
+    qd2_partial_sum,
+    rho_factored,
+    sweep_stream,
+)
+from squaretori.lattice import (
+    GeneratorPair,
+    HnfLattice,
+    QuotientShape,
+    enumerate_lattices,
+    lattice_index,
+    random_unimodular,
+)
+from test_style import SOURCE, public_names
+
+PROBES = (2.5, -1, 0, 2**63)
+REFUSALS = (TypeError, ValueError, OverflowError, BudgetError)
+G = GeneratorPair((2, 1), (1, 3))  # index 5; any one coordinate -1 or 0 keeps rank 2
+
+
+def index_of(u, v):
+    return lattice_index(GeneratorPair(u, v))
+
+
+# (public name, parameter, call with x in that parameter, {probe: documented value}),
+# optionally followed by the probes that apply when not all of PROBES do
+CONTRACTS = [
+    ("is_prime", "n", is_prime, {-1: False, 0: False}),  # False below 2
+    ("factorize", "n", factorize, {}),
+    ("PrimeFactorization", "n", lambda x: PrimeFactorization(x, ()), {}),
+    ("PrimeFactorization", "prime", lambda x: PrimeFactorization(2, ((x, 1),)), {}),
+    ("PrimeFactorization", "exponent", lambda x: PrimeFactorization(2, ((2, x),)), {}),
+    ("psi_via_cylinders", "n", psi_via_cylinders, {}),
+    ("psi_prime", "n", psi_prime, {}),
+    ("sieve_multiplicative", "limit", sieve_multiplicative, {}),
+    (  # a budget of any size is allowed
+        "sieve_multiplicative",
+        "max_sieve",
+        lambda x: sieve_multiplicative(1, x).limit,
+        {2**63: 1},
+    ),
+    # a coordinate may be negative or zero
+    ("GeneratorPair", "u0", lambda x: index_of((x, 1), (1, 3)), {-1: 4, 0: 1}),
+    ("GeneratorPair", "u1", lambda x: index_of((2, x), (1, 3)), {-1: 7, 0: 6}),
+    ("GeneratorPair", "v0", lambda x: index_of((2, 1), (x, 3)), {-1: 7, 0: 6}),
+    ("GeneratorPair", "v1", lambda x: index_of((2, 1), (1, x)), {-1: 3, 0: 1}),
+    ("HnfLattice", "width", lambda x: HnfLattice(x, 2, 0), {}),
+    ("HnfLattice", "height", lambda x: HnfLattice(3, x, 1), {}),
+    ("HnfLattice", "twist", lambda x: HnfLattice(3, 2, x), {0: (3, 2, 0)}),
+    ("QuotientShape", "d1", lambda x: QuotientShape(x, 6), {}),
+    ("QuotientShape", "d2", lambda x: QuotientShape(1, x), {}),
+    ("enumerate_lattices", "n", enumerate_lattices, {}),
+    (  # any seed random.Random takes; the basis changes, the lattice does not
+        "random_unimodular",
+        "seed",
+        lambda x: lattice_index(random_unimodular(G, x, 5)),
+        dict.fromkeys(PROBES, 5),
+    ),
+    (  # 2**63 steps is a real request for 2**63 moves, not an off-domain input
+        "random_unimodular",
+        "steps",
+        lambda x: random_unimodular(G, 1, x),
+        {0: G},
+        (2.5, -1, 0),
+    ),
+    ("RatioValue", "psi", lambda x: RatioValue(x, 3, 2 / 3), {}),
+    ("RatioValue", "sigma", lambda x: RatioValue(2, x, 2 / 3), {}),
+    ("rho_factored", "prime", lambda x: rho_factored([(x, 1)]), {}),
+    (  # exponents of any size; 2**64 squares and more are 3/4 cyclic
+        "rho_factored",
+        "exponent",
+        lambda x: rho_factored([(2, x)]),
+        {2**63: 0.75},
+    ),
+    ("extremal_sequence_rho", "k", extremal_sequence_rho, {}),
+    ("partial_sums", "limit", partial_sums, {}),
+    ("sweep_stream", "limit", lambda x: next(sweep_stream(x)), {}),
+    ("qd2_partial_sum", "limit", qd2_partial_sum, {}),
+]
+
+# public names that take no integer from a caller, with what they are or take
+NO_INTEGER = {
+    "WORD_BOUND": "a constant",
+    "DEFAULT_MAX_SIEVE": "a constant",
+    "MAX_TRIPLES": "a constant",
+    "INV_ZETA2": "a constant",
+    "INV_ZETA4": "a constant",
+    "ZETA2_OVER_ZETA4": "a constant",
+    "BudgetError": "an exception: any message",
+    "dedekind_psi": "a PrimeFactorization",
+    "sigma": "a PrimeFactorization",
+    "squarefree_indicator": "a PrimeFactorization",
+    "divisors": "a PrimeFactorization",
+    "rho": "a PrimeFactorization",
+    "lattice_index": "a GeneratorPair",
+    "content": "a GeneratorPair",
+    "hnf_reduce": "a GeneratorPair",
+    "smith_shape": "a GeneratorPair",
+    "is_cyclic": "an HnfLattice",
+    "to_permutation_pair": "an HnfLattice",
+    "permutation_pair_json": "an HnfLattice",
+    "MultiplicativeSieve": "sieve_multiplicative's output, passed back as built",
+    "SweepRecord": "an output row; no function takes one back",
+}
+
+
+def probes():
+    for name, parameter, call, documented, *only in CONTRACTS:
+        for x in only[0] if only else PROBES:
+            yield pytest.param(call, x, documented, id=f"{name}.{parameter}={x!r}")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def numpy_loaded():
+    sieve_multiplicative(1)  # the first sieve imports numpy, which no probe should pay
+
+
+@pytest.mark.parametrize("call, x, documented", probes())
+def test_off_domain_integers_are_refused_at_once(call, x, documented, within):
+    with within(0.1):
+        if x in documented:
+            assert call(x) == documented[x]
+        else:
+            with pytest.raises(REFUSALS):
+                call(x)
+
+
+def test_every_public_name_has_a_contract_row():
+    listed = {row[0] for row in CONTRACTS} | set(NO_INTEGER)
+    names = set()
+    for module in ("arith", "lattice", "asymptotics"):
+        tree = ast.parse((SOURCE / f"{module}.py").read_text())
+        names |= public_names(tree)
+    assert sorted(names - listed) == []
+    assert sorted(listed - names) == []  # no row outlives its name

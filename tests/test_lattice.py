@@ -273,12 +273,19 @@ def test_enumerate_matches_validated_construction(n):
 
 def test_enumerate_budget():
     # refused before the first row: 2**62 has sigma = 2**63 - 1 triples, and
-    # sigma(3 * 2**61) leaves 64 bits, an overflow reported as the budget
+    # 3 * 2**61, whose sigma leaves 64 bits, is refused before it is factored
     for n in (2**62, 3 * 2**61):
         with pytest.raises(BudgetError):
             enumerate_lattices(n)
     with pytest.raises(TypeError):
         enumerate_lattices(12, max_triples=3)  # the budget is a constant
+
+
+def test_enumerate_refuses_a_large_index_before_factoring(within):
+    # both are prime: trial division alone took 2.2 s and about 3.5 minutes
+    for n in (10**15 + 37, 2**63 - 25):
+        with within(0.1), pytest.raises(BudgetError):
+            enumerate_lattices(n)
 
 
 # --- permutation pairs --------------------------------------------------------

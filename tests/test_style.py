@@ -132,6 +132,40 @@ def test_every_public_name_has_a_reader():
     assert not unread, unread
 
 
+def bound_comparisons(tree):
+    """Top-level defs and classes holding a comparison that reads WORD_BOUND."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        for compare in ast.walk(node)
+        if isinstance(compare, ast.Compare)
+        for name in ast.walk(compare)
+        if isinstance(name, ast.Name) and name.id == "WORD_BOUND"
+    }
+
+
+def test_bound_comparisons_sees_a_nested_compare():
+    tree = ast.parse(
+        "class C:\n    def f(self, x):\n        return abs(x) > WORD_BOUND\n"
+        "def g(x):\n    return x < 1\n"
+        "def h(x):\n    return WORD_BOUND\n"
+        "assert 2**63 - 1 == WORD_BOUND\n"
+    )
+    assert bound_comparisons(tree) == {"C", "<module>"}
+
+
+def test_the_64_bit_check_lives_in_arith():
+    """Sizes go through arith's one check; only coordinates, which may be 0 or
+    negative, compare against WORD_BOUND outside arith."""
+    found = {
+        (path.name, owner)
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "arith.py"
+        for owner in bound_comparisons(ast.parse(path.read_text()))
+    }
+    assert found <= {("lattice.py", "GeneratorPair")}
+
+
 def readme_global_flags(text):
     """Options that open the bullets of README's "Global flags" list."""
     bullets = text.split("Global flags", 1)[1].split("\n\n")[1]  # after the lead-in
