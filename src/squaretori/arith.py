@@ -32,14 +32,27 @@ class BudgetError(RuntimeError):
     """An operation would exceed a declared resource budget."""
 
 
+def _shown(x: int) -> str:
+    """x for a message: in decimal up to 128 bits, else by its sign and bit length."""
+    bits = x.bit_length()  # str() of an int over 4300 digits raises ValueError
+    return str(x) if bits <= 128 else f"{'-' if x < 0 else ''}<{bits}-bit integer>"
+
+
 def _word(x: int, name: str = "n") -> int:
     """x as an exact int in [1, WORD_BOUND]: the one check of every count and size."""
     x = index(x)
     if x < 1:
-        raise ValueError(f"{name} must be >= 1, got {x}")
+        raise ValueError(f"{name} must be >= 1, got {_shown(x)}")
     if x > WORD_BOUND:
-        raise OverflowError(f"{name} = {x} leaves the 64-bit range")
+        raise OverflowError(f"{name} = {_shown(x)} leaves the 64-bit range")
     return x
+
+
+def _budget(asked: int, budget: int, name: str, what: str) -> None:
+    """BudgetError if asked > budget; what holds a %s for the asked amount."""
+    if asked > budget:
+        request = what % _shown(asked)
+        raise BudgetError(f"{request}, over the {name} budget of {_shown(budget)}")
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -47,11 +60,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test for integers n <= 2**63 - 1."""
-    n = index(n)
-    if n > WORD_BOUND:  # the witnesses are proven exact only below 3.18e23
-        raise OverflowError(f"{n} leaves the 64-bit range")
-    if n < 2:
+    if index(n) < 2:
         return False
+    n = _word(n)  # the witnesses are proven exact only below 3.18e23
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -87,7 +98,7 @@ def _prime_powers(factors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], 
     previous = 1
     for q, a in pairs:
         if not is_prime(q):
-            raise ValueError(f"{q} is not a valid prime factor")
+            raise ValueError(f"{_shown(q)} is not a valid prime factor")
         if a < 1:
             raise ValueError("exponents must be >= 1")
         if q <= previous:
@@ -240,6 +251,16 @@ class MultiplicativeSieve:
     psi: np.ndarray
     sigma: np.ndarray
 
+    def __post_init__(self) -> None:
+        import numpy as np  # already loaded by whoever built the columns
+
+        size = (_word(self.limit, "limit") + 1,)
+        for column in (self.psi, self.sigma):
+            if not (isinstance(column, np.ndarray) and column.dtype == np.int64):
+                raise ValueError("psi and sigma must be int64 arrays")
+            if column.shape != size:
+                raise ValueError("psi and sigma must hold limit + 1 entries")
+
 
 def sieve_multiplicative(
     limit: int, max_sieve: int = DEFAULT_MAX_SIEVE
@@ -257,11 +278,7 @@ def sieve_multiplicative(
     limit, max_sieve = _word(limit, "limit"), index(max_sieve)  # floats: TypeError
     import numpy as np  # loaded here, so paths without a sieve never import it
 
-    if limit > max_sieve:
-        raise BudgetError(
-            f"sieve of {limit} exceeds the budget of {max_sieve}; "
-            "raise max_sieve to allow it"
-        )
+    _budget(limit, max_sieve, "max_sieve", "a sieve of %s entries")
     rem = np.arange(limit + 1, dtype=np.int64)  # n less its p^k, p <= sqrt(limit)
     psi = np.ones(limit + 1, dtype=np.int64)
     sig = np.ones(limit + 1, dtype=np.int64)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count, islice
-from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import (
@@ -85,8 +84,7 @@ def extremal_sequence_rho(k: int) -> float:
     1/zeta(2) as k grows. The underlying integer overflows 64 bits from
     k = 6 on, so only the factored evaluation is ever used.
     """
-    k = index(k)  # a float raises TypeError here, before the range check
-    if not 1 <= k <= 50:
+    if (k := _word(k, "k")) > 50:  # a float raises TypeError, k < 1 ValueError
         raise ValueError(f"k must be in [1, 50], got {k}")
     return rho_factored([(p, k) for p in _PRIMES[:k]])
 
@@ -106,10 +104,10 @@ class SweepRecord(NamedTuple):
 def _sieve_for(
     limit: int, sieve: MultiplicativeSieve | None
 ) -> tuple[int, MultiplicativeSieve]:
-    """limit as an exact int (TypeError otherwise), and a sieve covering it."""
-    limit = index(limit)
-    # sieve_multiplicative checks limit and the budget for anything not covered
-    if sieve is not None and 1 <= limit <= sieve.limit:
+    """limit as a checked 64-bit count, and a sieve covering it."""
+    limit = _word(limit, "limit")
+    # sieve_multiplicative checks the budget for anything not covered
+    if sieve is not None and limit <= sieve.limit:
         return limit, sieve
     return limit, sieve_multiplicative(limit)
 

@@ -18,7 +18,7 @@ from math import gcd
 from operator import index
 from typing import Iterator, NamedTuple
 
-from .arith import WORD_BOUND, BudgetError, _word, divisors, factorize, sigma
+from .arith import WORD_BOUND, _budget, _shown, _word, divisors, factorize, sigma
 
 # enumerate_lattices' budget in triples; to_permutation_pair's in squares
 MAX_TRIPLES = 10_000_000
@@ -41,7 +41,7 @@ class GeneratorPair:
         object.__setattr__(self, "v", (index(v0), index(v1)))
         det = self.u[0] * self.v[1] - self.u[1] * self.v[0]
         if max(map(abs, self.u + self.v)) > WORD_BOUND or abs(det) > WORD_BOUND:
-            raise OverflowError(f"generators {self.u}, {self.v} leave the 64-bit range")
+            raise OverflowError("generators leave the 64-bit range")
         if det == 0:
             raise ValueError(
                 f"generators {self.u} and {self.v} are linearly dependent"
@@ -195,11 +195,7 @@ def enumerate_lattices(n: int) -> Iterator[HnfLattice]:
     n = _word(n)
     # sigma(n) >= n + 1 for n > 1, so a larger n is refused before it is factored
     total = sigma(f := factorize(n)) if n < MAX_TRIPLES else n + 1
-    if total > MAX_TRIPLES:
-        raise BudgetError(
-            f"enumerating index {n} needs at least {total} triples, over the "
-            f"budget of {MAX_TRIPLES}"
-        )
+    _budget(total, MAX_TRIPLES, "MAX_TRIPLES", f"index {n} needs at least %s triples")
 
     def generate() -> Iterator[HnfLattice]:
         new = tuple.__new__  # skips validation: twists from range(1, width) meet it
@@ -225,8 +221,7 @@ def to_permutation_pair(lat: HnfLattice) -> tuple[list[int], list[int]]:
     torus of more than MAX_TRIPLES squares.
     """
     n = lat.index
-    if n > MAX_TRIPLES:
-        raise BudgetError(f"{n} squares exceed the budget of {MAX_TRIPLES}")
+    _budget(n, MAX_TRIPLES, "MAX_TRIPLES", "a torus of %s squares")
     w, h, t = lat.width, lat.height, lat.twist
     horizontal = [0] * n
     vertical = [0] * n
@@ -260,8 +255,8 @@ def random_unimodular(g: GeneratorPair, seed: int, steps: int) -> GeneratorPair:
     deterministically by `seed`. Every move is unimodular, so the lattice,
     its index, and its content are unchanged.
     """
-    if index(steps) < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    if (steps := index(steps)) < 0:
+        raise ValueError(f"steps must be >= 0, got {_shown(steps)}")
     rng = random.Random(seed)
     u = list(g.u)
     v = list(g.v)

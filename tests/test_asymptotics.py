@@ -16,7 +16,7 @@ from oracles import (
     squarefree_mask,
     zeta_series,
 )
-from squaretori.arith import factorize, sieve_multiplicative
+from squaretori.arith import MultiplicativeSieve, factorize, sieve_multiplicative
 from squaretori.asymptotics import (
     INV_ZETA2,
     INV_ZETA4,
@@ -338,6 +338,25 @@ def test_partial_sums_domain(sieve_100k):
                 call(limit, sieve=sieve_100k)
     # a sieve shorter than the limit is ignored, not read past its end
     assert partial_sums(200, sieve=sieve_multiplicative(100)) == partial_sums(200)
+
+
+# the readers of a prebuilt sieve. Handed 10 entries that claim limit 20, at
+# limit 15 sweep_stream stopped at row 10, partial_sums raised IndexError and
+# qd2_partial_sum a numpy broadcast error; the sieve now refuses to be built
+SIEVE_READERS = {
+    "sweep_stream": lambda limit, sieve: list(sweep_stream(limit, sieve=sieve)),
+    "partial_sums": partial_sums,
+    "qd2": qd2_partial_sum,
+}
+
+
+@pytest.mark.parametrize("read", SIEVE_READERS.values(), ids=SIEVE_READERS.keys())
+def test_a_hand_built_sieve_is_checked_before_it_is_read(read):
+    sv = sieve_multiplicative(10)
+    with pytest.raises(ValueError, match="must hold limit \\+ 1 entries"):
+        read(15, sieve=MultiplicativeSieve(20, sv.psi, sv.sigma))
+    rebuilt = MultiplicativeSieve(10, sv.psi, sv.sigma)  # checked columns read as before
+    assert read(10, sieve=rebuilt) == read(10, sieve=sv)
 
 
 NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"

@@ -431,6 +431,7 @@ def test_enumeration_budget_exit(capsys):
     code, out, err = run_cli(capsys, "enumerate", "4611686018427387904")  # 2**62
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(", over the MAX_TRIPLES budget of 10000000\n")
     with pytest.raises(SystemExit) as usage:  # the budget is not an option
         main(["--max-triples", "3", "enumerate", "12"])
     assert usage.value.code == 2
@@ -438,7 +439,8 @@ def test_enumeration_budget_exit(capsys):
 
 def test_sieve_budget_exit(capsys):
     code, out, err = run_cli(capsys, "--max-sieve", "100", "sweep", "200")
-    assert code == 1 and err != ""
+    assert code == 1 and out == ""
+    assert err == "error: a sieve of 200 entries, over the max_sieve budget of 100\n"
 
 
 def test_failed_allocation_exit(capsys, monkeypatch):

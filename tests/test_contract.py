@@ -1,10 +1,13 @@
 """One integer contract at every public entry, as a table.
 
-Each integer parameter of a public callable gets a float, -1, 0 and 2**63.
-Each probe must be refused at once with TypeError, ValueError,
+Each integer parameter of a public callable gets a float, -1, 0, 2**63 and
++-10**5000. Each probe must be refused at once with TypeError, ValueError,
 OverflowError or BudgetError, unless the table gives its documented value.
-A public name with neither a row here nor a place in NO_INTEGER fails the
-test, so the contract cannot drift as names come and go.
+An integer past str()'s 4300-digit limit fails like its 64-bit neighbour,
+with the library's own message. A public name with neither a row here nor
+a place in NO_INTEGER fails the test, so the contract cannot drift as
+names come and go. Every resource budget is refused the same way, by one
+helper, with a message that names the request, its size and the budget.
 """
 
 import ast
@@ -35,12 +38,15 @@ from squaretori.lattice import (
     enumerate_lattices,
     lattice_index,
     random_unimodular,
+    to_permutation_pair,
 )
 from test_style import SOURCE, public_names
 
-PROBES = (2.5, -1, 0, 2**63)
+HUGE = 10**5000  # past str()'s 4300-digit limit: no message may print it whole
+PROBES = (2.5, -1, 0, 2**63, HUGE, -HUGE)
 REFUSALS = (TypeError, ValueError, OverflowError, BudgetError)
 G = GeneratorPair((2, 1), (1, 3))  # index 5; any one coordinate -1 or 0 keeps rank 2
+SV = sieve_multiplicative(10)  # loads numpy, which no probe should pay
 
 
 def index_of(u, v):
@@ -50,7 +56,7 @@ def index_of(u, v):
 # (public name, parameter, call with x in that parameter, {probe: documented value}),
 # optionally followed by the probes that apply when not all of PROBES do
 CONTRACTS = [
-    ("is_prime", "n", is_prime, {-1: False, 0: False}),  # False below 2
+    ("is_prime", "n", is_prime, {-1: False, 0: False, -HUGE: False}),  # False below 2
     ("factorize", "n", factorize, {}),
     ("PrimeFactorization", "n", lambda x: PrimeFactorization(x, ()), {}),
     ("PrimeFactorization", "prime", lambda x: PrimeFactorization(2, ((x, 1),)), {}),
@@ -62,7 +68,7 @@ CONTRACTS = [
         "sieve_multiplicative",
         "max_sieve",
         lambda x: sieve_multiplicative(1, x).limit,
-        {2**63: 1},
+        {2**63: 1, HUGE: 1},
     ),
     # a coordinate may be negative or zero
     ("GeneratorPair", "u0", lambda x: index_of((x, 1), (1, 3)), {-1: 4, 0: 1}),
@@ -86,7 +92,7 @@ CONTRACTS = [
         "steps",
         lambda x: random_unimodular(G, 1, x),
         {0: G},
-        (2.5, -1, 0),
+        (2.5, -1, 0, -HUGE),
     ),
     ("RatioValue", "psi", lambda x: RatioValue(x, 3, 2 / 3), {}),
     ("RatioValue", "sigma", lambda x: RatioValue(2, x, 2 / 3), {}),
@@ -95,12 +101,16 @@ CONTRACTS = [
         "rho_factored",
         "exponent",
         lambda x: rho_factored([(2, x)]),
-        {2**63: 0.75},
+        {2**63: 0.75, HUGE: 0.75},
     ),
     ("extremal_sequence_rho", "k", extremal_sequence_rho, {}),
     ("partial_sums", "limit", partial_sums, {}),
     ("sweep_stream", "limit", lambda x: next(sweep_stream(x)), {}),
     ("qd2_partial_sum", "limit", qd2_partial_sum, {}),
+    # a prebuilt sieve that covers 10 never stands in for the limit check
+    ("partial_sums", "limit+sieve", lambda x: partial_sums(x, sieve=SV), {}),
+    ("sweep_stream", "limit+sieve", lambda x: next(sweep_stream(x, sieve=SV)), {}),
+    ("qd2_partial_sum", "limit+sieve", lambda x: qd2_partial_sum(x, sieve=SV), {}),
 ]
 
 # public names that take no integer from a caller, with what they are or take
@@ -129,15 +139,15 @@ NO_INTEGER = {
 }
 
 
+def probe_id(name, parameter, x):
+    shown = {HUGE: "10**5000", -HUGE: "-10**5000"}.get(x) or repr(x)
+    return f"{name}.{parameter}={shown}"
+
+
 def probes():
     for name, parameter, call, documented, *only in CONTRACTS:
         for x in only[0] if only else PROBES:
-            yield pytest.param(call, x, documented, id=f"{name}.{parameter}={x!r}")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def numpy_loaded():
-    sieve_multiplicative(1)  # the first sieve imports numpy, which no probe should pay
+            yield pytest.param(call, x, documented, id=probe_id(name, parameter, x))
 
 
 @pytest.mark.parametrize("call, x, documented", probes())
@@ -145,9 +155,57 @@ def test_off_domain_integers_are_refused_at_once(call, x, documented, within):
     with within(0.1):
         if x in documented:
             assert call(x) == documented[x]
-        else:
-            with pytest.raises(REFUSALS):
-                call(x)
+            return
+        with pytest.raises(REFUSALS) as refusal:
+            call(x)
+    assert "Exceeds the limit" not in str(refusal.value)
+
+
+def huge_probes():
+    """Each undocumented +-10**5000 probe, with the 64-bit probe it must fail like.
+
+    That is 2**63 for the positive one. For the negative one it is -1, unless
+    -1 is a valid value (a coordinate), where only the size can fail.
+    """
+    for name, parameter, call, documented, *only in CONTRACTS:
+        for x in (HUGE, -HUGE):
+            if x in (only[0] if only else PROBES) and x not in documented:
+                near = -1 if x < 0 and -1 not in documented else 2**63
+                yield pytest.param(call, x, near, id=probe_id(name, parameter, x))
+
+
+@pytest.mark.parametrize("call, x, near", huge_probes())
+def test_integers_of_any_length_fail_like_their_64_bit_neighbour(call, x, near):
+    with pytest.raises(REFUSALS) as expected:
+        call(near)
+    with pytest.raises(REFUSALS) as refusal:
+        call(x)
+    assert type(refusal.value) is type(expected.value)
+
+
+# (call, what its message names: the request, the amount asked and the budget)
+BUDGETS = {
+    "max_sieve": (
+        lambda: sieve_multiplicative(1001, max_sieve=1000),
+        "a sieve of 1001 entries, over the max_sieve budget of 1000",
+    ),
+    "MAX_TRIPLES-enumerate": (  # 2**62 is refused before it is factored
+        lambda: enumerate_lattices(2**62),
+        f"index {2**62} needs at least {2**62 + 1} triples, "
+        "over the MAX_TRIPLES budget of 10000000",
+    ),
+    "MAX_TRIPLES-squares": (
+        lambda: to_permutation_pair(HnfLattice(10**4, 10**3 + 1, 0)),
+        "a torus of 10010000 squares, over the MAX_TRIPLES budget of 10000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BUDGETS.values(), ids=BUDGETS.keys())
+def test_every_budget_is_refused_by_one_helper(call, message):
+    with pytest.raises(BudgetError) as refusal:
+        call()
+    assert str(refusal.value) == message
 
 
 def test_every_public_name_has_a_contract_row():

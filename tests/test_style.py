@@ -155,15 +155,48 @@ def test_bound_comparisons_sees_a_nested_compare():
 
 
 def test_the_64_bit_check_lives_in_arith():
-    """Sizes go through arith's one check; only coordinates, which may be 0 or
-    negative, compare against WORD_BOUND outside arith."""
+    """Sizes go through _word and results through _checked; only coordinates,
+    which may be 0 or negative, compare against WORD_BOUND elsewhere."""
     found = {
         (path.name, owner)
         for path in sorted(SOURCE.glob("*.py"))
-        if path.name != "arith.py"
         for owner in bound_comparisons(ast.parse(path.read_text()))
     }
-    assert found <= {("lattice.py", "GeneratorPair")}
+    allowed = {("arith.py", "_word"), ("arith.py", "_checked")}
+    assert found <= allowed | {("lattice.py", "GeneratorPair")}
+
+
+def raise_sites(tree, exception):
+    """Top-level defs and classes holding a raise of the named exception."""
+    return [
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        for statement in ast.walk(node)
+        if isinstance(statement, ast.Raise) and statement.exc is not None
+        for name in ast.walk(statement.exc)  # E, E(...), module.E or module.E(...)
+        if getattr(name, "id", getattr(name, "attr", None)) == exception
+    ]
+
+
+def test_raise_sites_sees_calls_and_bare_names():
+    tree = ast.parse(
+        "def f(x):\n    if x:\n        raise E('no')\n    raise E\n"
+        "class C:\n    def g(self):\n        raise KeyError\n"
+        "def h():\n    raise\n"
+        "def k():\n    raise m.E('no') from None\n"
+        "raise E()\n"
+    )
+    assert raise_sites(tree, "E") == ["f", "f", "k", "<module>"]
+
+
+def test_every_budget_is_refused_in_one_place():
+    """Only arith._budget raises BudgetError."""
+    found = [
+        (path.name, owner)
+        for path in sorted(SOURCE.glob("*.py"))
+        for owner in raise_sites(ast.parse(path.read_text()), "BudgetError")
+    ]
+    assert found == [("arith.py", "_budget")]
 
 
 def readme_global_flags(text):
