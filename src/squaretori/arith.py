@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from operator import index
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,26 +87,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_powers(factors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of a factor list, checked and as exact ints.
-
-    Non-integers raise TypeError and primes above WORD_BOUND OverflowError
-    (from is_prime). Each prime must pass is_prime, each exponent (unbounded)
-    be >= 1, and the primes must strictly increase (ValueError otherwise).
-    """
-    pairs = tuple((index(q), index(a)) for q, a in factors)
-    previous = 1
-    for q, a in pairs:
-        if not is_prime(q):
-            raise ValueError(f"{_shown(q)} is not a valid prime factor")
-        if a < 1:
-            raise ValueError("exponents must be >= 1")
-        if q <= previous:
-            raise ValueError("primes must be strictly increasing")
-        previous = q
-    return pairs
-
-
 @dataclass(frozen=True)
 class PrimeFactorization:
     """A positive integer together with its ordered prime decomposition.
@@ -121,7 +101,18 @@ class PrimeFactorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", _prime_powers(self.factors))
+        # non-integers raise TypeError, primes above WORD_BOUND OverflowError
+        factors = tuple((index(p), index(a)) for p, a in self.factors)
+        previous = 1
+        for p, a in factors:
+            if not is_prime(p):
+                raise ValueError(f"{_shown(p)} is not a valid prime factor")
+            if a < 1:
+                raise ValueError("exponents must be >= 1")
+            if p <= previous:
+                raise ValueError("primes must be strictly increasing")
+            previous = p
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "n", _word(self.n))
         # p**63 > WORD_BOUND >= n, so an exponent capped at 63 still mismatches
         if prod(p ** min(a, 63) for p, a in self.factors) != self.n:

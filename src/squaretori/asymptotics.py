@@ -4,21 +4,20 @@ The proportion rho(n) = psi(n)/sigma(n) always lies in [6/pi^2, 1], is 1
 exactly on the square-free integers, and dips toward 6/pi^2 = 1/zeta(2)
 along powered primorials. In the mean the cyclic count is 1/zeta(4) of
 the total: sum(psi)/sum(sigma) -> 90/pi^4. This module holds the zeta
-constants, the ratio in exact and factored form, the extremal sequence,
+constants, the exact ratio, the extremal sequence as an Euler product,
 and partial-sum sweeps backed by the prime-power sieve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .arith import (
     MultiplicativeSieve,
     PrimeFactorization,
-    _prime_powers,
     _word,
     dedekind_psi,
     is_prime,
@@ -39,39 +38,19 @@ class RatioValue:
 
     psi: int
     sigma: int
-    value: float
+    value: float = field(init=False)  # psi / sigma in binary64
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "psi", _word(self.psi, "psi"))
         object.__setattr__(self, "sigma", _word(self.sigma, "sigma"))
         if self.sigma < self.psi:
             raise ValueError("need psi <= sigma")
-        if self.value != self.psi / self.sigma:
-            raise ValueError("value must equal psi/sigma in binary64")
+        object.__setattr__(self, "value", self.psi / self.sigma)
 
 
 def rho(f: PrimeFactorization) -> RatioValue:
     """Cyclic proportion at n from exact psi and sigma."""
-    p = dedekind_psi(f)
-    s = sigma(f)
-    return RatioValue(p, s, p / s)
-
-
-def rho_factored(factors: Sequence[tuple[int, int]]) -> float:
-    """Cyclic proportion from a factor list alone; n is never materialized.
-
-    A prime q with exponent a contributes (1 - q^-2) / (1 - q^-(a+1)).
-    When q^(a+1) would pass 2^63 the second factor is within 2^-63 of 1
-    and is treated as 1, so arbitrarily large implied n stays cheap.
-    The pairs are checked like PrimeFactorization's: integer primes in
-    strictly increasing order, each exponent >= 1.
-    """
-    value = 1.0
-    for q, a in _prime_powers(factors):
-        value *= 1.0 - 1.0 / (q * q)
-        if a < 63 and (a + 1) * math.log2(q) <= 63:
-            value /= 1.0 - 1.0 / float(q) ** (a + 1)
-    return value
+    return RatioValue(dedekind_psi(f), sigma(f))
 
 
 _PRIMES = tuple(islice(filter(is_prime, count(2)), 50))  # the first 50 primes
@@ -81,12 +60,17 @@ def extremal_sequence_rho(k: int) -> float:
     """rho along the extremal sequence: first k primes, each to the k-th power.
 
     These are the k-th powers of primorials; their ratio decreases toward
-    1/zeta(2) as k grows. The underlying integer overflows 64 bits from
-    k = 6 on, so only the factored evaluation is ever used.
+    1/zeta(2) as k grows. The integer overflows 64 bits from k = 6 on, so
+    the ratio is the Euler product of (1 - p^-2) / (1 - p^-(k+1)). Once
+    p^(k+1) passes 2^54 the divisor rounds to exactly 1.0.
     """
     if (k := _word(k, "k")) > 50:  # a float raises TypeError, k < 1 ValueError
         raise ValueError(f"k must be in [1, 50], got {k}")
-    return rho_factored([(p, k) for p in _PRIMES[:k]])
+    value = 1.0
+    for p in _PRIMES[:k]:
+        value *= 1.0 - 1.0 / (p * p)
+        value /= 1.0 - 1.0 / float(p) ** (k + 1)
+    return value
 
 
 class SweepRecord(NamedTuple):

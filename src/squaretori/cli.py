@@ -97,9 +97,8 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> None:
 
 def _cmd_extremal(args: argparse.Namespace, out: IO[str]) -> None:
     rho = asymptotics.extremal_sequence_rho
-    # rho(kmax) runs even when the range is empty, so its range check
-    # refuses any kmax outside [1, 50] before anything is written
-    values = [rho(k) for k in range(1, args.kmax)] + [rho(args.kmax)]
+    last = rho(args.kmax)  # refuses a kmax outside [1, 50] before any other work
+    values = [rho(k) for k in range(1, args.kmax)] + [last]
     inv_z2 = asymptotics.INV_ZETA2
     rows = [(k, v, v - inv_z2) for k, v in enumerate(values, 1)]
     _emit(out, args.format, _EXTREMAL, rows)
@@ -157,7 +156,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,7 +31,6 @@ from squaretori.arith import (
     sigma,
     squarefree_indicator,
 )
-from squaretori.asymptotics import rho_factored
 
 
 def psi_of(n):
@@ -97,16 +96,21 @@ def test_factorize_refuses_a_float_before_trial_division():
 
 
 def test_factorization_validation():
-    with pytest.raises(ValueError):
-        PrimeFactorization(4, ((4, 1),))        # 4 is not prime
-    with pytest.raises(ValueError):
-        PrimeFactorization(6, ((3, 1), (2, 1)))  # out of order
-    with pytest.raises(ValueError):
-        PrimeFactorization(6, ((2, 1),))         # wrong product
-    with pytest.raises(ValueError):
-        PrimeFactorization(2, ((2, 0),))         # exponent 0
-    with pytest.raises(ValueError):
-        PrimeFactorization(0, ())
+    # a factor list is refused for its factors, whatever n it claims to make
+    for n, factors, message in (
+        (4, ((4, 1),), "4 is not a valid prime factor"),
+        (36, ((6, 2),), "6 is not a valid prime factor"),
+        (1, ((1, 1),), "1 is not a valid prime factor"),
+        (1, ((0, 1),), "0 is not a valid prime factor"),
+        (6, ((3, 1), (2, 1)), "primes must be strictly increasing"),  # out of order
+        (8, ((2, 1), (2, 2)), "primes must be strictly increasing"),  # duplicate
+        (2, ((2, 0),), "exponents must be >= 1"),
+        (6, ((2, 1),), "the factors do not multiply to 6"),
+        (0, (), "n must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError) as refusal:
+            PrimeFactorization(n, factors)
+        assert str(refusal.value) == message, (n, factors)
 
 
 def test_factorization_must_be_integers():
@@ -117,19 +121,16 @@ def test_factorization_must_be_integers():
         PrimeFactorization(4, ((2, 2.0),))
     with pytest.raises(TypeError):
         PrimeFactorization(4.0, ((2, 2),))  # would make dedekind_psi return 6.0
-    # rho_factored shares the factor-list check: same pair, same error
-    for pair, error in (
-        ((2.9, 2), TypeError),
-        ((2, 1.5), TypeError),
-        ((2.0, 1), TypeError),
-        ((4, 1), ValueError),
-        ((2, 0), ValueError),
+    for pair, error, message in (
+        ((2.9, 2), TypeError, "'float' object cannot be interpreted as an integer"),
+        ((2, 1.5), TypeError, "'float' object cannot be interpreted as an integer"),
+        ((2.0, 1), TypeError, "'float' object cannot be interpreted as an integer"),
+        ((4, 1), ValueError, "4 is not a valid prime factor"),
+        ((2, 0), ValueError, "exponents must be >= 1"),
     ):
-        with pytest.raises(error) as by_factorization:
+        with pytest.raises(error) as refusal:
             PrimeFactorization(4, (pair,))
-        with pytest.raises(error) as by_rho:
-            rho_factored([pair])
-        assert str(by_rho.value) == str(by_factorization.value), pair
+        assert str(refusal.value) == message, pair
     f = PrimeFactorization(np.int64(4), ((np.int64(2), 2),))
     assert type(f.n) is int and f.factors == ((2, 2),) and dedekind_psi(f) == 6
 
@@ -138,10 +139,9 @@ def test_factor_lists_stay_in_64_bits():
     # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to bases 2..37,
     # so only the 64-bit bound keeps it out of a factor list
     psi_12 = 318665857834031151167461
-    with pytest.raises(OverflowError):
-        PrimeFactorization(psi_12, ((psi_12, 1),))
-    with pytest.raises(OverflowError):
-        rho_factored([(psi_12, 1)])
+    for n in (psi_12, 2):  # refused as a factor, whatever n the list claims
+        with pytest.raises(OverflowError):
+            PrimeFactorization(n, ((psi_12, 1),))
     with pytest.raises(OverflowError):
         PrimeFactorization(2**70, ((2, 70),))
 

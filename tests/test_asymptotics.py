@@ -1,6 +1,6 @@
 import math
-import random
 import tracemalloc
+from fractions import Fraction
 from itertools import count, islice
 
 import numpy as np
@@ -26,12 +26,9 @@ from squaretori.asymptotics import (
     partial_sums,
     qd2_partial_sum,
     rho,
-    rho_factored,
     sweep_stream,
 )
 
-# a few large primes for building factored test values near 10^9
-BIG_PRIMES = (99991, 999983, 104729, 611953)
 # the first 50 primes by trial division, independent of the library's is_prime
 FIRST_PRIMES = list(islice(filter(brute_is_prime, count(2)), 50))
 
@@ -49,12 +46,94 @@ def test_zeta_series_agrees_with_closed_forms():
         zeta_series(1)
 
 
+# extremal_sequence_rho(k).hex() for k = 1..50: the CLI prints these values,
+# so a change in any bit is a change in behaviour
+EXTREMAL_HEX = (
+    "0x1.0000000000000p+0",
+    "0x1.9519519519518p-1",
+    "0x1.6276276276277p-1",
+    "0x1.4cd7bf7a56072p-1",
+    "0x1.43dc57fe0ce1fp-1",
+    "0x1.3f192c52e08a7p-1",
+    "0x1.3ca5a11839a5bp-1",
+    "0x1.3b1e8314c0bd6p-1",
+    "0x1.3a348c7f93cf5p-1",
+    "0x1.39acbe4a89ea4p-1",
+    "0x1.39454aa2710c3p-1",
+    "0x1.3900d379a998cp-1",
+    "0x1.38cc3cb3b8231p-1",
+    "0x1.389e79c12db85p-1",
+    "0x1.387905a006c0bp-1",
+    "0x1.385beee93fe24p-1",
+    "0x1.3844a805fd3eap-1",
+    "0x1.382f0526aab79p-1",
+    "0x1.381d23fcab72ap-1",
+    "0x1.380d4090dfba2p-1",
+    "0x1.37fe3e145d77fp-1",
+    "0x1.37f16f706f256p-1",
+    "0x1.37e5d6a9c9303p-1",
+    "0x1.37dbc1811af4ep-1",
+    "0x1.37d34507765a4p-1",
+    "0x1.37cb7190bb6c6p-1",
+    "0x1.37c3eb68e405fp-1",
+    "0x1.37bcf2c64f0bbp-1",
+    "0x1.37b63b32a127dp-1",
+    "0x1.37affb5959a3ep-1",
+    "0x1.37ab08e2267d0p-1",
+    "0x1.37a662a77fccfp-1",
+    "0x1.37a22275d6952p-1",
+    "0x1.379e0169b0591p-1",
+    "0x1.379a69899b490p-1",
+    "0x1.3796e9e8abdbcp-1",
+    "0x1.3793ad76d870ap-1",
+    "0x1.3790aceb0877bp-1",
+    "0x1.378dd0c673249p-1",
+    "0x1.378b268f827bep-1",
+    "0x1.3788a955f841bp-1",
+    "0x1.37863a22909f2p-1",
+    "0x1.37840a7fe892fp-1",
+    "0x1.3781e66af8840p-1",
+    "0x1.377fd861a09e8p-1",
+    "0x1.377dd4e0ec6bcp-1",
+    "0x1.377c0a5affac8p-1",
+    "0x1.377a6fdc907e0p-1",
+    "0x1.3778e3b706bcfp-1",
+    "0x1.37775e771a26ep-1",
+)
+
+
 def test_first_primes():
     # the extremal sequence reads a fixed prime table; each k pins its first k
     assert FIRST_PRIMES[39] == 173
     for k in range(1, 51):
-        by_table = extremal_sequence_rho(k)
-        assert by_table == rho_factored([(p, k) for p in FIRST_PRIMES[:k]]), k
+        by_table = 1.0
+        for p in FIRST_PRIMES[:k]:
+            by_table *= 1.0 - 1.0 / (p * p)
+            by_table /= 1.0 - 1.0 / float(p) ** (k + 1)
+        assert extremal_sequence_rho(k) == by_table, k
+
+
+@pytest.mark.parametrize(
+    "k, bits", enumerate(EXTREMAL_HEX, 1), ids=[f"k={k}" for k in range(1, 51)]
+)
+def test_extremal_sequence_bits_are_pinned(k, bits):
+    assert extremal_sequence_rho(k).hex() == bits
+
+
+def test_extremal_sequence_matches_the_exact_euler_product():
+    # prod over the first k primes of (1 - p^-2) / (1 - p^-(k+1)), in rationals
+    for k in range(1, 51):
+        exact = Fraction(1)
+        for p in FIRST_PRIMES[:k]:
+            exact *= (1 - Fraction(1, p * p)) / (1 - Fraction(1, p ** (k + 1)))
+        value = extremal_sequence_rho(k)
+        assert abs(Fraction(value) - exact) <= Fraction(1e-13) * exact, k
+
+
+def test_extremal_sequence_matches_rho_while_n_fits_64_bits():
+    for k in range(1, 6):
+        exact = rho(factorize(math.prod(p**k for p in FIRST_PRIMES[:k]))).value
+        assert abs(extremal_sequence_rho(k) - exact) <= 1e-13 * exact, k
 
 
 # --- rho ------------------------------------------------------------------
@@ -79,80 +158,19 @@ def test_rho_is_one_exactly_on_squarefree():
 
 def test_ratio_value_validation():
     with pytest.raises(ValueError):
-        RatioValue(7, 6, 7 / 6)  # psi above sigma
-    with pytest.raises(ValueError):
-        RatioValue(6, 7, 0.85)  # value not the exact quotient
+        RatioValue(7, 6)  # psi above sigma
     with pytest.raises(TypeError):
-        RatioValue(6.0, 7, 6 / 7)
+        RatioValue(6.0, 7)
     with pytest.raises(TypeError):
-        RatioValue(6, 7.0, 6 / 7)
+        RatioValue(6, 7.0)
+    with pytest.raises(TypeError):
+        RatioValue(6, 7, 6 / 7)  # value is derived, never passed
     with pytest.raises(OverflowError):
-        RatioValue(1, 2**64, 2**-64)  # the quotient is exact, sigma is not 64-bit
-
-
-def test_rho_factored_examples():
-    assert rho_factored([]) == 1.0
-    assert rho_factored([(2, 1)]) == 1.0
-    assert rho_factored([(2, 3)]) == pytest.approx(0.8, abs=1e-15)
-
-
-def test_rho_factored_domain_errors():
-    with pytest.raises(ValueError):
-        rho_factored([(2, 1), (2, 2)])  # duplicate prime
-    with pytest.raises(ValueError):
-        rho_factored([(1, 1)])
-    with pytest.raises(ValueError):
-        rho_factored([(2, 0)])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        rho_factored([(3, 1), (2, 1)])  # primes out of order
-    # a non-integer exponent or prime is refused, not read as a number
-    for factors in ([(2, 1.5)], [(2.0, 1)]):
-        with pytest.raises(TypeError):
-            rho_factored(factors)
-    # a composite or zero "prime" is refused; rho(4) is 6/7, not 1
-    for factors in ([(4, 1)], [(6, 2)], [(0, 1)]):
-        with pytest.raises(ValueError, match="is not a valid prime factor"):
-            rho_factored(factors)
-
-
-def test_rho_factored_exponent_capping():
-    # 2^201 is far past 64 bits: the denominator factor collapses to 1
-    assert rho_factored([(2, 200)]) == 1.0 - 0.25
-    # exponents of any size: (a + 1) * log2(q) would not even convert to float
-    assert rho_factored([(2, 10**400)]) == 0.75
-    assert rho_factored([(3, 2**1100)]) == 8 / 9
-
-
-def test_rho_factored_matches_exact_quotient():
-    for n in range(2, 2001):
-        f = factorize(n)
-        exact = rho(f).value
-        approx = rho_factored(f.factors)
-        assert abs(approx - exact) <= 1e-12 * exact, n
-
-
-def test_rho_routes_agree_on_large_random_values():
-    rng = random.Random(424242)
-    small = FIRST_PRIMES[:12]
-    for _ in range(10_000):
-        n = 1
-        factors = []
-        for p in rng.sample(small, rng.randint(1, 4)):
-            a = rng.randint(1, 3)
-            if n * p**a > 10**9 // 2:
-                continue
-            n *= p**a
-            factors.append((p, a))
-        if rng.random() < 0.3:
-            big = rng.choice(BIG_PRIMES)
-            if n * big <= 10**9 and all(p != big for p, _ in factors):
-                n *= big
-                factors.append((big, 1))
-        if n == 1:
-            continue
-        exact = rho(factorize(n)).value
-        approx = rho_factored(sorted(factors))
-        assert abs(approx - exact) <= 1e-12 * exact, n
+        RatioValue(1, 2**64)  # the quotient is exact, sigma is not 64-bit
+    four = RatioValue(6, 7)
+    assert four.value == 6 / 7
+    assert repr(four) == f"RatioValue(psi=6, sigma=7, value={6 / 7!r})"
+    assert four == rho(factorize(4))
 
 
 # --- extremal sequence -------------------------------------------------------

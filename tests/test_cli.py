@@ -462,6 +462,16 @@ def test_extremal_range_exit(capsys):
     assert code == 1 and err != "" and out == ""
 
 
+def test_extremal_refusal_names_the_kmax_given(capsys):
+    # kmax is checked first, not k = 51 after fifty values
+    for kmax, message in (
+        ("100", "k must be in [1, 50], got 100"),
+        ("9223372036854775808", "k = 9223372036854775808 leaves the 64-bit range"),
+    ):
+        code, out, err = run_cli(capsys, "extremal", kmax)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_usage_error_exits_with_two(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -28,7 +28,6 @@ from squaretori.asymptotics import (
     extremal_sequence_rho,
     partial_sums,
     qd2_partial_sum,
-    rho_factored,
     sweep_stream,
 )
 from squaretori.lattice import (
@@ -94,15 +93,8 @@ CONTRACTS = [
         {0: G},
         (2.5, -1, 0, -HUGE),
     ),
-    ("RatioValue", "psi", lambda x: RatioValue(x, 3, 2 / 3), {}),
-    ("RatioValue", "sigma", lambda x: RatioValue(2, x, 2 / 3), {}),
-    ("rho_factored", "prime", lambda x: rho_factored([(x, 1)]), {}),
-    (  # exponents of any size; 2**64 squares and more are 3/4 cyclic
-        "rho_factored",
-        "exponent",
-        lambda x: rho_factored([(2, x)]),
-        {2**63: 0.75, HUGE: 0.75},
-    ),
+    ("RatioValue", "psi", lambda x: RatioValue(x, 3), {}),
+    ("RatioValue", "sigma", lambda x: RatioValue(2, x), {}),
     ("extremal_sequence_rho", "k", extremal_sequence_rho, {}),
     ("partial_sums", "limit", partial_sums, {}),
     ("sweep_stream", "limit", lambda x: next(sweep_stream(x)), {}),
