@@ -24,8 +24,8 @@ if TYPE_CHECKING:
 WORD_BOUND = 2**63 - 1
 
 # At its peak the sieve holds three int64 arrays of limit + 1 entries,
-# about 48 MB at this cap; raise the cap for larger ranges.
-DEFAULT_MAX_SIEVE = 2_000_000
+# about 240 MB at this cap.
+MAX_SIEVE = 10_000_000
 
 
 class BudgetError(RuntimeError):
@@ -253,9 +253,7 @@ class MultiplicativeSieve:
                 raise ValueError("psi and sigma must hold limit + 1 entries")
 
 
-def sieve_multiplicative(
-    limit: int, max_sieve: int = DEFAULT_MAX_SIEVE
-) -> MultiplicativeSieve:
+def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
     """Batch values over [1, limit] from strided numpy passes over prime powers.
 
     Each prime p <= sqrt(limit) scales every multiple of p by its p-factor,
@@ -264,12 +262,12 @@ def sieve_multiplicative(
     sqrt(limit) that an n <= limit can have, applied in a final pass. All
     arithmetic is exact int64, so the arrays agree entrywise with the
     single-value functions, and psi == sigma exactly at square-free n.
-    Deterministic; raises BudgetError when limit > max_sieve.
+    Deterministic; raises BudgetError when limit > MAX_SIEVE.
     """
-    limit, max_sieve = _word(limit, "limit"), index(max_sieve)  # floats: TypeError
+    limit = _word(limit, "limit")  # a float raises TypeError
+    _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
     import numpy as np  # loaded here, so paths without a sieve never import it
 
-    _budget(limit, max_sieve, "max_sieve", "a sieve of %s entries")
     rem = np.arange(limit + 1, dtype=np.int64)  # n less its p^k, p <= sqrt(limit)
     psi = np.ones(limit + 1, dtype=np.int64)
     sig = np.ones(limit + 1, dtype=np.int64)

@@ -88,7 +88,7 @@ def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> None:
-    sv = arith.sieve_multiplicative(args.n, max_sieve=args.max_sieve)
+    sv = arith.sieve_multiplicative(args.n)
     _emit(out, args.format, _SWEEP, asymptotics.sweep_stream(args.n, sieve=sv))
     final = asymptotics.partial_sums(args.n, sieve=sv).cum_ratio
     deviation = abs(final - asymptotics.INV_ZETA4)
@@ -114,13 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("csv", "json", "plain"),
         default="plain",
         help="output format (default: plain)",
-    )
-    parser.add_argument(
-        "--max-sieve",
-        type=int,
-        default=arith.DEFAULT_MAX_SIEVE,
-        metavar="N",
-        help="sieve budget",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = (

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -17,6 +19,7 @@ from oracles import (
     squarefree_mask,
 )
 from squaretori.arith import (
+    MAX_SIEVE,
     BudgetError,
     MultiplicativeSieve,
     PrimeFactorization,
@@ -351,11 +354,39 @@ def test_sieve_entry_matches_single_values(data):
     assert (sv.psi[n] == sv.sigma[n]) == bool(squarefree_indicator(f))
 
 
-def test_sieve_budget():
-    with pytest.raises(BudgetError):
-        sieve_multiplicative(1001, max_sieve=1000)
+SIEVE_REFUSAL = "a sieve of 10000001 entries, over the MAX_SIEVE budget of 10000000"
+
+
+def test_sieve_budget(within):
+    assert MAX_SIEVE == 10**7
+    with within(0.1), pytest.raises(BudgetError) as refusal:
+        sieve_multiplicative(MAX_SIEVE + 1)
+    assert str(refusal.value) == SIEVE_REFUSAL
     with pytest.raises(ValueError):
         sieve_multiplicative(0)
+
+
+# refuses one entry over the budget in a fresh interpreter, then reports the
+# time the refusal took, whether numpy was imported, and the message
+_REFUSE = """\
+import sys, time
+from squaretori.arith import MAX_SIEVE, BudgetError, sieve_multiplicative
+start = time.perf_counter()
+try:
+    sieve_multiplicative(MAX_SIEVE + 1)
+except BudgetError as exc:
+    print(time.perf_counter() - start, "numpy" in sys.modules, exc, sep="\\n")
+"""
+
+
+def test_the_sieve_budget_is_refused_before_numpy_loads():
+    result = subprocess.run(
+        [sys.executable, "-c", _REFUSE], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    elapsed, loads_numpy, message = result.stdout.splitlines()
+    assert float(elapsed) < 0.1
+    assert (loads_numpy, message) == ("False", SIEVE_REFUSAL)
 
 
 def test_sieve_columns_are_int64_arrays_of_limit_plus_one_entries():

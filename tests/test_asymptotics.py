@@ -16,7 +16,12 @@ from oracles import (
     squarefree_mask,
     zeta_series,
 )
-from squaretori.arith import MultiplicativeSieve, factorize, sieve_multiplicative
+from squaretori.arith import (
+    MAX_SIEVE,
+    MultiplicativeSieve,
+    factorize,
+    sieve_multiplicative,
+)
 from squaretori.asymptotics import (
     INV_ZETA2,
     INV_ZETA4,
@@ -189,6 +194,42 @@ def test_extremal_sequence_stays_above_liminf():
     # strictly decreasing from k = 2 onward
     for k in range(2, 40):
         assert deviations[k] < deviations[k - 1], k
+
+
+def primes_up_to(m):
+    """Primes <= m by a plain sieve of Eratosthenes, independent of the library."""
+    marks = bytearray([1]) * (m + 1)
+    marks[:2] = b"\0\0"
+    for p in range(2, math.isqrt(m) + 1):
+        if marks[p]:
+            marks[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    return [p for p in range(m + 1) if marks[p]]
+
+
+def test_extremal_gap_lies_in_a_proven_bracket():
+    """gap(k) = rho(n_k) - 6/pi^2 = (6/pi^2) * expm1(A + B), where
+
+    B = sum over p <= p_k of -log(1 - p^-(k+1)) and
+    A = sum over p > p_k of -log(1 - p^-2), summed exactly up to M = 10^6.
+    The rest of A lies in [0, 1/(M (1 - M^-2))): -log(1 - x) <= x/(1 - x),
+    and the sum over n > M of n^-2 is below 1/M. Criterion 8 asks for a
+    gap below 1e-6 at k = 40; the bracket puts it near 5.56e-4.
+    """
+    m = 10**6
+    primes = primes_up_to(m)
+    below_m = [-math.log1p(-(p**-2.0)) for p in primes]
+    tail = 1 / (m * (1 - m**-2.0))
+    inv_zeta2 = 6 / math.pi**2
+    for k in range(1, 51):
+        b = math.fsum(-math.log1p(-(p ** -(k + 1.0))) for p in primes[:k])
+        a = math.fsum(below_m[k:])
+        low = inv_zeta2 * math.expm1(a + b)
+        high = inv_zeta2 * math.expm1(a + tail + b)
+        gap = extremal_sequence_rho(k) - inv_zeta2
+        assert low <= gap <= high, k
+        assert high - low < 2e-3 * gap, k  # the bracket pins the gap to 0.2%
+        if k == 40:
+            assert 5.5636e-4 < low < gap < high < 5.5698e-4
 
 
 def test_extremal_domain():
@@ -381,7 +422,7 @@ NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
 # each sized entry point handed a float, with and without a prebuilt sieve sv
 FLOAT_SIZES = {
     "sieve": lambda sv: sieve_multiplicative(10.0),
-    "max_sieve": lambda sv: sieve_multiplicative(10, max_sieve=10.5),
+    "sieve-over-budget": lambda sv: sieve_multiplicative(float(MAX_SIEVE + 1)),
     "partial_sums": lambda sv: partial_sums(10.5),
     "partial_sums-sv": lambda sv: partial_sums(10.5, sieve=sv),
     "qd2": lambda sv: qd2_partial_sum(10.5),

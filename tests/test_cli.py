@@ -438,14 +438,19 @@ def test_enumeration_budget_exit(capsys):
 
 
 def test_sieve_budget_exit(capsys):
-    code, out, err = run_cli(capsys, "--max-sieve", "100", "sweep", "200")
+    code, out, err = run_cli(capsys, "sweep", "10000001")  # refused before numpy
     assert code == 1 and out == ""
-    assert err == "error: a sieve of 200 entries, over the max_sieve budget of 100\n"
+    assert err == (
+        "error: a sieve of 10000001 entries, over the MAX_SIEVE budget of 10000000\n"
+    )
+    with pytest.raises(SystemExit) as usage:  # the budget is not an option
+        main(["--max-sieve", "3", "sweep", "12"])
+    assert usage.value.code == 2
 
 
 def test_failed_allocation_exit(capsys, monkeypatch):
     # stands in for numpy's _ArrayMemoryError without allocating anything
-    def refuse(limit, max_sieve):
+    def refuse(limit):
         raise MemoryError("Unable to allocate 7.28 PiB for an array")
 
     monkeypatch.setattr(arith, "sieve_multiplicative", refuse)

@@ -15,6 +15,7 @@ import ast
 import pytest
 
 from squaretori.arith import (
+    MAX_SIEVE,
     BudgetError,
     PrimeFactorization,
     factorize,
@@ -63,12 +64,6 @@ CONTRACTS = [
     ("psi_via_cylinders", "n", psi_via_cylinders, {}),
     ("psi_prime", "n", psi_prime, {}),
     ("sieve_multiplicative", "limit", sieve_multiplicative, {}),
-    (  # a budget of any size is allowed
-        "sieve_multiplicative",
-        "max_sieve",
-        lambda x: sieve_multiplicative(1, x).limit,
-        {2**63: 1, HUGE: 1},
-    ),
     # a coordinate may be negative or zero
     ("GeneratorPair", "u0", lambda x: index_of((x, 1), (1, 3)), {-1: 4, 0: 1}),
     ("GeneratorPair", "u1", lambda x: index_of((2, x), (1, 3)), {-1: 7, 0: 6}),
@@ -108,7 +103,7 @@ CONTRACTS = [
 # public names that take no integer from a caller, with what they are or take
 NO_INTEGER = {
     "WORD_BOUND": "a constant",
-    "DEFAULT_MAX_SIEVE": "a constant",
+    "MAX_SIEVE": "a constant",
     "MAX_TRIPLES": "a constant",
     "INV_ZETA2": "a constant",
     "INV_ZETA4": "a constant",
@@ -175,12 +170,25 @@ def test_integers_of_any_length_fail_like_their_64_bit_neighbour(call, x, near):
     assert type(refusal.value) is type(expected.value)
 
 
+OVER_MAX_SIEVE = "a sieve of 10000001 entries, over the MAX_SIEVE budget of 10000000"
 # (call, what its message names: the request, the amount asked and the budget)
 BUDGETS = {
-    "max_sieve": (
-        lambda: sieve_multiplicative(1001, max_sieve=1000),
-        "a sieve of 1001 entries, over the max_sieve budget of 1000",
+    "MAX_SIEVE": (  # refused before numpy allocates anything
+        lambda: sieve_multiplicative(MAX_SIEVE + 1),
+        OVER_MAX_SIEVE,
     ),
+    # the readers sieve for themselves under the same budget, and a prebuilt
+    # sieve too short for the limit changes neither the budget nor the message
+    "MAX_SIEVE-partial_sums": (lambda: partial_sums(MAX_SIEVE + 1), OVER_MAX_SIEVE),
+    "MAX_SIEVE-partial_sums-sv": (
+        lambda: partial_sums(MAX_SIEVE + 1, sieve=SV),
+        OVER_MAX_SIEVE,
+    ),
+    "MAX_SIEVE-sweep_stream": (
+        lambda: next(sweep_stream(MAX_SIEVE + 1)),
+        OVER_MAX_SIEVE,
+    ),
+    "MAX_SIEVE-qd2": (lambda: qd2_partial_sum(MAX_SIEVE + 1), OVER_MAX_SIEVE),
     "MAX_TRIPLES-enumerate": (  # 2**62 is refused before it is factored
         lambda: enumerate_lattices(2**62),
         f"index {2**62} needs at least {2**62 + 1} triples, "

@@ -199,6 +199,36 @@ def test_every_budget_is_refused_in_one_place():
     assert found == [("arith.py", "_budget")]
 
 
+def budget_arguments(tree):
+    """The budget argument of each _budget(...) call, as source text."""
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_budget":
+            keyword = [k.value for k in call.keywords if k.arg == "budget"]
+            found.extend(ast.unparse(budget) for budget in call.args[1:2] + keyword)
+    return found
+
+
+def test_budget_arguments_sees_positional_keyword_and_attribute_calls():
+    tree = ast.parse(
+        "_budget(n, MAX_X, 'MAX_X', '%s')\n"
+        "def f(b):\n    arith._budget(1, budget=b, name='b', what='%s')\n"
+        "g(n, limit)\n"
+    )
+    assert budget_arguments(tree) == ["MAX_X", "b"]
+
+
+def test_every_budget_is_a_module_constant():
+    """No budget is a parameter: each _budget call reads an upper-case constant."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))]
+    constants = {name for tree in trees for name in public_names(tree) if name.isupper()}
+    found = [budget for tree in trees for budget in budget_arguments(tree)]
+    assert set(found) == {"MAX_SIEVE", "MAX_TRIPLES"}
+    assert set(found) <= constants
+
+
 def readme_global_flags(text):
     """Options that open the bullets of README's "Global flags" list."""
     bullets = text.split("Global flags", 1)[1].split("\n\n")[1]  # after the lead-in
