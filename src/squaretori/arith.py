@@ -7,7 +7,7 @@ cylinder shapes and a square-free divisor sum) so the closed form can
 be cross-checked, plus a numpy prime-power sieve for whole ranges.
 
 All values live in the signed 64-bit range; a result that would leave it
-raises OverflowError instead of wrapping or drifting through floats.
+raises OverflowError naming that value, as an input past the range does.
 """
 
 from __future__ import annotations
@@ -101,14 +101,13 @@ class PrimeFactorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        # non-integers raise TypeError, primes above WORD_BOUND OverflowError
+        # non-integers raise TypeError, a prime or exponent > WORD_BOUND OverflowError
         factors = tuple((index(p), index(a)) for p, a in self.factors)
         previous = 1
         for p, a in factors:
             if not is_prime(p):
                 raise ValueError(f"{_shown(p)} is not a valid prime factor")
-            if a < 1:
-                raise ValueError("exponents must be >= 1")
+            _word(a, "exponent")
             if p <= previous:
                 raise ValueError("primes must be strictly increasing")
             previous = p
@@ -117,13 +116,6 @@ class PrimeFactorization:
         # p**63 > WORD_BOUND >= n, so an exponent capped at 63 still mismatches
         if prod(p ** min(a, 63) for p, a in self.factors) != self.n:
             raise ValueError(f"the factors do not multiply to {self.n}")
-
-
-def _checked(value: int, name: str, n: int) -> int:
-    """value itself, or OverflowError when it leaves the signed 64-bit range."""
-    if value > WORD_BOUND:
-        raise OverflowError(f"{name}({n}) exceeds the 64-bit bound")
-    return value
 
 
 def factorize(n: int) -> PrimeFactorization:
@@ -163,7 +155,7 @@ def dedekind_psi(f: PrimeFactorization) -> int:
     value = f.n
     for p, _ in f.factors:
         value = value * (p + 1) // p
-    return _checked(value, "psi", f.n)
+    return _word(value, f"psi({f.n})")
 
 
 def sigma(f: PrimeFactorization) -> int:
@@ -171,7 +163,7 @@ def sigma(f: PrimeFactorization) -> int:
     value = 1
     for p, a in f.factors:
         value *= (p ** (a + 1) - 1) // (p - 1)
-    return _checked(value, "sigma", f.n)
+    return _word(value, f"sigma({f.n})")
 
 
 def squarefree_indicator(f: PrimeFactorization) -> int:
@@ -212,7 +204,7 @@ def psi_via_cylinders(n: int) -> int:
             if g % p == 0:
                 phi = phi // p * (p - 1)
         total += w // g * phi
-    return _checked(total, "psi", n)
+    return _word(total, f"psi({n})")
 
 
 def psi_prime(n: int) -> int:
@@ -227,7 +219,7 @@ def psi_prime(n: int) -> int:
     primes = [p for p, _ in f.factors]
     radical = PrimeFactorization(prod(primes), tuple((p, 1) for p in primes))
     total = sum(n // d for d in divisors(radical))
-    return _checked(total, "psi", n)
+    return _word(total, f"psi({n})")
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,10 @@ def test_factorization_validation():
         (1, ((0, 1),), "0 is not a valid prime factor"),
         (6, ((3, 1), (2, 1)), "primes must be strictly increasing"),  # out of order
         (8, ((2, 1), (2, 2)), "primes must be strictly increasing"),  # duplicate
-        (2, ((2, 0),), "exponents must be >= 1"),
+        (2, ((2, 0),), "exponent must be >= 1, got 0"),
+        # each pair is checked in turn: its prime, its exponent, then the order
+        (20, ((4, 1), (5, 0)), "4 is not a valid prime factor"),
+        (3, ((3, 1), (2, 0)), "exponent must be >= 1, got 0"),
         (6, ((2, 1),), "the factors do not multiply to 6"),
         (0, (), "n must be >= 1, got 0"),
     ):
@@ -129,7 +132,8 @@ def test_factorization_must_be_integers():
         ((2, 1.5), TypeError, "'float' object cannot be interpreted as an integer"),
         ((2.0, 1), TypeError, "'float' object cannot be interpreted as an integer"),
         ((4, 1), ValueError, "4 is not a valid prime factor"),
-        ((2, 0), ValueError, "exponents must be >= 1"),
+        ((2, 0), ValueError, "exponent must be >= 1, got 0"),
+        ((2, 2**63), OverflowError, f"exponent = {2**63} leaves the 64-bit range"),
     ):
         with pytest.raises(error) as refusal:
             PrimeFactorization(4, (pair,))
@@ -276,7 +280,7 @@ def test_sigma_overflow_is_reported():
     "route", [lambda n: dedekind_psi(factorize(n)), psi_via_cylinders, psi_prime]
 )
 def test_every_psi_route_reports_overflow_alike(route):
-    message = "psi(6917529027641081856) exceeds the 64-bit bound"
+    message = "psi(6917529027641081856) = 13835058055282163712 leaves the 64-bit range"
     with pytest.raises(OverflowError) as info:
         route(3 * 2**61)
     assert str(info.value) == message

@@ -410,7 +410,10 @@ def test_overflow_is_reported(capsys):
 def test_overflow_at_the_largest_input(capsys):
     code, out, err = run_cli(capsys, "count", "9223372036854775807")
     assert code == 1 and out == ""
-    assert err == "error: psi(9223372036854775807) exceeds the 64-bit bound\n"
+    assert err == (
+        "error: psi(9223372036854775807) = 10801620952394481664"
+        " leaves the 64-bit range\n"
+    )
     code, out, err = run_cli(capsys, "count", "9223372036854775808")  # one past it
     assert code == 1 and out == ""
     assert err == "error: n = 9223372036854775808 leaves the 64-bit range\n"

@@ -8,27 +8,35 @@ with the library's own message. A public name with neither a row here nor
 a place in NO_INTEGER fails the test, so the contract cannot drift as
 names come and go. Every resource budget is refused the same way, by one
 helper, with a message that names the request, its size and the budget.
+A result past 2**63 - 1 is refused by the check every input passes, with
+its exact value in the message.
 """
 
 import ast
+from math import prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from squaretori.arith import (
     MAX_SIEVE,
+    WORD_BOUND,
     BudgetError,
     PrimeFactorization,
+    dedekind_psi,
     factorize,
     is_prime,
     psi_prime,
     psi_via_cylinders,
     sieve_multiplicative,
+    sigma,
 )
 from squaretori.asymptotics import (
     RatioValue,
     extremal_sequence_rho,
     partial_sums,
     qd2_partial_sum,
+    rho,
     sweep_stream,
 )
 from squaretori.lattice import (
@@ -206,6 +214,70 @@ def test_every_budget_is_refused_by_one_helper(call, message):
     with pytest.raises(BudgetError) as refusal:
         call()
     assert str(refusal.value) == message
+
+
+OVER = 3 * 2**61  # psi = 2 * OVER and sigma = 2**64 - 4 both pass WORD_BOUND
+PSI_OVER = f"psi({OVER}) = 13835058055282163712 leaves the 64-bit range"
+# (call, its message): a result past the bound names its exact value
+RESULTS = {
+    "dedekind_psi": (lambda: dedekind_psi(factorize(OVER)), PSI_OVER),
+    "sigma": (
+        lambda: sigma(factorize(OVER)),
+        f"sigma({OVER}) = 18446744073709551612 leaves the 64-bit range",
+    ),
+    "psi_via_cylinders": (lambda: psi_via_cylinders(OVER), PSI_OVER),
+    "psi_prime": (lambda: psi_prime(OVER), PSI_OVER),
+    "rho": (lambda: rho(factorize(OVER)), PSI_OVER),  # psi is taken first
+}
+
+
+@pytest.mark.parametrize("call, message", RESULTS.values(), ids=RESULTS.keys())
+def test_every_result_past_the_bound_is_refused_with_its_value(call, message):
+    with pytest.raises(OverflowError) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
+def test_a_result_at_the_bound_is_kept():
+    assert sigma(factorize(2**62)) == 2**63 - 1 == WORD_BOUND
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13)
+
+
+@given(st.lists(st.integers(0, 2), min_size=5, max_size=5), st.data())
+def test_every_result_route_is_exact_or_names_its_value(exponents, data):
+    """n = 2**k times small odd prime powers, drawn in [2**58, 2**63 - 1]."""
+    odd = prod(p**a for p, a in zip(ODD_PRIMES, exponents))
+    lowest = (-(-(2**58) // odd) - 1).bit_length()  # least k with odd << k >= 2**58
+    k = data.draw(st.integers(lowest, (WORD_BOUND // odd).bit_length() - 1), label="k")
+    n = odd << k
+    factors = ((2, k),) + tuple((p, a) for p, a in zip(ODD_PRIMES, exponents) if a)
+    psi = prod(p ** (a - 1) * (p + 1) for p, a in factors)
+    sig = prod((p ** (a + 1) - 1) // (p - 1) for p, a in factors)
+    f = factorize(n)
+    assert f.factors == factors
+    routes = (
+        ("psi", psi, lambda: dedekind_psi(f)),
+        ("psi", psi, lambda: psi_via_cylinders(n)),
+        ("psi", psi, lambda: psi_prime(n)),
+        ("sigma", sig, lambda: sigma(f)),
+    )
+    for name, value, route in routes:
+        if value <= WORD_BOUND:
+            got = route()
+            assert type(got) is int and got == value
+            continue
+        with pytest.raises(OverflowError) as refusal:
+            route()
+        assert str(refusal.value) == f"{name}({n}) = {value} leaves the 64-bit range"
+    if max(psi, sig) <= WORD_BOUND:
+        assert rho(f) == RatioValue(psi, sig)
+        return
+    name, value = ("psi", psi) if psi > WORD_BOUND else ("sigma", sig)
+    with pytest.raises(OverflowError) as refusal:
+        rho(f)  # psi's value is refused first, then sigma's
+    assert str(refusal.value) == f"{name}({n}) = {value} leaves the 64-bit range"
 
 
 def test_every_public_name_has_a_contract_row():

@@ -154,16 +154,19 @@ def test_bound_comparisons_sees_a_nested_compare():
     assert bound_comparisons(tree) == {"C", "<module>"}
 
 
+# coordinates may be 0 or negative, so GeneratorPair checks their size itself
+WORD_CHECKS = {("arith.py", "_word"), ("lattice.py", "GeneratorPair")}
+
+
 def test_the_64_bit_check_lives_in_arith():
-    """Sizes go through _word and results through _checked; only coordinates,
-    which may be 0 or negative, compare against WORD_BOUND elsewhere."""
+    """Sizes and results both go through _word; only coordinates compare
+    against WORD_BOUND elsewhere."""
     found = {
         (path.name, owner)
         for path in sorted(SOURCE.glob("*.py"))
         for owner in bound_comparisons(ast.parse(path.read_text()))
     }
-    allowed = {("arith.py", "_word"), ("arith.py", "_checked")}
-    assert found <= allowed | {("lattice.py", "GeneratorPair")}
+    assert found <= WORD_CHECKS
 
 
 def raise_sites(tree, exception):
@@ -197,6 +200,16 @@ def test_every_budget_is_refused_in_one_place():
         for owner in raise_sites(ast.parse(path.read_text()), "BudgetError")
     ]
     assert found == [("arith.py", "_budget")]
+
+
+def test_only_the_64_bit_checks_raise_overflow():
+    """OverflowError comes from _word, or from GeneratorPair for a coordinate."""
+    found = {
+        (path.name, owner)
+        for path in sorted(SOURCE.glob("*.py"))
+        for owner in raise_sites(ast.parse(path.read_text()), "OverflowError")
+    }
+    assert found == WORD_CHECKS
 
 
 def budget_arguments(tree):
