@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import islice, takewhile
 from typing import IO, Iterable, Sequence
 
 from . import arith, asymptotics, lattice
 
-_CHUNK = 65536  # lines per write
+# Lines per write. 4096 keeps a chunk's lines, their join and its encoding
+# small, so memory stays flat in N, and wall time is no worse than at 65536.
+_CHUNK = 4096
 
 # Field schemas: a name, then a printf spec after ":" where "%s" will not do.
 # Floats are printed with 12 significant digits in every format.
@@ -104,6 +106,19 @@ def _cmd_extremal(args: argparse.Namespace, out: IO[str]) -> None:
     _emit(out, args.format, _EXTREMAL, rows)
 
 
+_COMMANDS = (
+    ("count", _cmd_count, "psi(n), sigma(n) and their ratio", "n"),
+    ("enumerate", _cmd_enumerate, "all index-n tori as (w,h,t) rows", "n"),
+    ("classify", _cmd_classify,
+     "canonical form and invariants of a generator pair", "u1 u2 v1 v2"),
+    ("sweep", _cmd_sweep, "census rows 1..N with running totals", "n"),
+    ("extremal", _cmd_extremal,
+     "rho along powered primorials, against 1/zeta(2)", "kmax"),
+)
+# the options taken before the command; argparse also accepts any prefix of one
+_OPTIONS = ("-h", "--help", "--format")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squaretori",
@@ -116,16 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: plain)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("count", _cmd_count, "psi(n), sigma(n) and their ratio", "n"),
-        ("enumerate", _cmd_enumerate, "all index-n tori as (w,h,t) rows", "n"),
-        ("classify", _cmd_classify,
-         "canonical form and invariants of a generator pair", "u1 u2 v1 v2"),
-        ("sweep", _cmd_sweep, "census rows 1..N with running totals", "n"),
-        ("extremal", _cmd_extremal,
-         "rho along powered primorials, against 1/zeta(2)", "kmax"),
-    )
-    for name, func, text, positionals in commands:
+    for name, func, text, positionals in _COMMANDS:
         p = sub.add_parser(name, help=text)
         for positional in positionals.split():
             p.add_argument(positional, type=int)
@@ -137,7 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    commands = {command[0] for command in _COMMANDS}
+    for token in takewhile(lambda t: t not in commands, argv):
+        # argparse would take the value after an unknown option for the
+        # command ("invalid choice: '3'"), so name the option itself
+        option = token.partition("=")[0]
+        if option.startswith("-") and not any(o.startswith(option) for o in _OPTIONS):
+            parser.error(f"unrecognized arguments: {token}")
+    args = parser.parse_args(argv)
     try:
         args.func(args, sys.stdout)
         sys.stdout.flush()

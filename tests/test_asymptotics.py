@@ -23,6 +23,7 @@ from squaretori.arith import (
     sieve_multiplicative,
 )
 from squaretori.asymptotics import (
+    _BLOCK,
     INV_ZETA2,
     INV_ZETA4,
     ZETA2_OVER_ZETA4,
@@ -293,7 +294,14 @@ def test_sweep_stream_matches_partial_sums(sieve_100k):
         assert r.rho == r.psi / r.sigma
 
 
-@pytest.mark.parametrize("limit", [65535, 65536, 65537, 131073])
+# limits on and around sweep_stream's block edges; 65536 is one at every
+# power-of-two block size up to 2**16
+BLOCK_EDGES = (
+    _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 65535, 65536, 65537, 131073
+)
+
+
+@pytest.mark.parametrize("limit", BLOCK_EDGES)
 def test_sweep_stream_across_block_edges(limit, sieve_million):
     sv = sieve_multiplicative(limit)
     expected = []
@@ -306,7 +314,7 @@ def test_sweep_stream_across_block_edges(limit, sieve_million):
     for sieve in (sv, sieve_million):
         records = list(sweep_stream(limit, sieve=sieve))
         assert records == expected
-        for n in {65535, 65536, 65537, 65538, limit}:
+        for n in {*BLOCK_EDGES, 65538, limit}:
             if n <= limit:
                 assert records[n - 1] == partial_sums(n, sieve=sv)
 

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from squaretori import arith
+from squaretori import arith, asymptotics, cli
 from squaretori.cli import main
 
 
@@ -344,8 +346,9 @@ def test_output_is_byte_exact(capsys, argv, fmt):
     assert out == GOLDEN[argv, fmt]
 
 
-# sha256 of the whole stdout of `sweep 131073`, whose rows cross two block
-# edges of sweep_stream (65536 and 131072)
+# sha256 of the whole stdout of `sweep 131073`, whose rows cross the block
+# edges of sweep_stream (every _BLOCK rows, 65536 and 131072 among them) and
+# the chunk edges of _emit (every _CHUNK lines)
 SWEEP_131073_SHA256 = {
     "plain": "b3bbcba628c8ac14ff4e2c9facde9070ea173eda19f3c0fb584dc32b3d2cc42b",
     "csv": "d71cb9ef3ac08a771f806d8f48b7aeefd663715623c519a1dc4d5ccac3271803",
@@ -358,6 +361,60 @@ def test_sweep_across_block_edges_is_byte_exact(capsys, fmt):
     code, out, err = run_cli(capsys, "--format", fmt, "sweep", "131073")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_131073_SHA256[fmt]
+
+
+# the sweep schema's header and row template, written out once by hand
+SWEEP_LAYOUT = {
+    "plain": ("n psi sigma rho cum_psi cum_sigma cum_ratio\n",
+              "%s %s %s %.12g %s %s %.12g\n"),
+    "csv": ("n,psi,sigma,rho,cum_psi,cum_sigma,cum_ratio\n",
+            "%s,%s,%s,%.12g,%s,%s,%.12g\n"),
+    "json": ("", '{"n":%s,"psi":%s,"sigma":%s,"rho":%.12g,'
+                 '"cum_psi":%s,"cum_sigma":%s,"cum_ratio":%.12g}\n'),
+}
+
+
+class Writes(list):
+    """A text sink that keeps each write as one item."""
+
+    write = list.append
+
+
+@pytest.mark.parametrize("fmt", list(SWEEP_LAYOUT))
+def test_chunk_edges_are_byte_exact(fmt, sieve_100k):
+    header, template = SWEEP_LAYOUT[fmt]
+    chunk = cli._CHUNK
+    rows = list(asymptotics.sweep_stream(2 * chunk + 1, sieve=sieve_100k))
+    for count in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        writes = Writes()
+        cli._emit(writes, fmt, cli._SWEEP, rows[:count])
+        expected = header + "".join(template % row for row in rows[:count])
+        assert "".join(writes) == expected
+        # after the header's own write, each write holds one chunk of lines
+        body = writes[1:] if header else writes
+        full, rest = divmod(count, chunk)
+        assert [w.count("\n") for w in body] == [chunk] * full + [rest] * (rest > 0)
+
+
+def test_row_buffers_stay_flat_in_n():
+    # one json chunk of lines and one block of ints, whatever the sweep's length
+    sizes = (3 * asymptotics._BLOCK + 1, 6 * asymptotics._BLOCK + 1)
+    sv = arith.sieve_multiplicative(sizes[-1])
+    peaks = []
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            for n in sizes:
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                rows = asymptotics.sweep_stream(n, sieve=sv)
+                cli._emit(sink, "json", cli._SWEEP, rows)
+                _, peak = tracemalloc.get_traced_memory()
+                peaks.append((peak - before) / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 3.0, peaks
+    assert abs(peaks[1] - peaks[0]) <= 0.25, peaks
 
 
 # --- numpy is loaded only by the sieve ---------------------------------------
@@ -478,6 +535,19 @@ def test_extremal_refusal_names_the_kmax_given(capsys):
     ):
         code, out, err = run_cli(capsys, "extremal", kmax)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_an_unknown_option_is_named(capsys):
+    # a value after the unknown option must not be read as the command
+    for argv in (["--max-sieve", "3", "sweep", "12"], ["--bogus", "sweep", "12"]):
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        captured = capsys.readouterr()
+        assert usage.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {argv[0]}\n")
+    # a prefix of a known option is still the option
+    code, out, err = run_cli(capsys, "--form", "csv", "count", "12")
+    assert (code, out, err) == (0, "n,psi,sigma,rho\n12,24,28,0.857142857143\n", "")
 
 
 def test_usage_error_exits_with_two(capsys):
