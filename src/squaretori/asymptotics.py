@@ -126,23 +126,23 @@ def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepR
 _BLOCK = 8192
 
 
-def sweep_stream(
-    limit: int, sieve: MultiplicativeSieve | None = None
-) -> Iterator[SweepRecord]:
+def sweep_stream(limit: int) -> Iterator[SweepRecord]:
     """All census rows 1..limit in order, from one sieve pass."""
-    limit, sv = _sieve_for(limit, sieve)
-    cum_psi = 0
-    cum_sigma = 0
-    new = tuple.__new__  # skips the per-row Python-level NamedTuple constructor
-    for low in range(1, limit + 1, _BLOCK):
-        top = min(low + _BLOCK, limit + 1)
-        psi, sig = sv.psi[low:top].tolist(), sv.sigma[low:top].tolist()
-        for n, p, s in zip(range(low, top), psi, sig):
-            cum_psi += p
-            cum_sigma += s
-            yield new(
-                SweepRecord, (n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma)
-            )
+    sv = sieve_multiplicative(limit)  # refuses at the call, before the first row
+
+    def generate() -> Iterator[SweepRecord]:
+        cum_psi = cum_sigma = 0
+        new = tuple.__new__  # skips the per-row Python-level NamedTuple constructor
+        for low in range(1, sv.limit + 1, _BLOCK):
+            top = min(low + _BLOCK, sv.limit + 1)
+            psi, sig = sv.psi[low:top].tolist(), sv.sigma[low:top].tolist()
+            for n, p, s in zip(range(low, top), psi, sig):
+                cum_psi += p
+                cum_sigma += s
+                row = (n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma)
+                yield new(SweepRecord, row)
+
+    return generate()
 
 
 def qd2_partial_sum(limit: int, sieve: MultiplicativeSieve | None = None) -> float:

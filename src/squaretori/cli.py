@@ -90,9 +90,9 @@ def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> None:
-    sv = arith.sieve_multiplicative(args.n)
-    _emit(out, args.format, _SWEEP, asymptotics.sweep_stream(args.n, sieve=sv))
-    final = asymptotics.partial_sums(args.n, sieve=sv).cum_ratio
+    rows = asymptotics.sweep_stream(args.n)  # refuses before the header is written
+    _emit(out, args.format, _SWEEP, ((last := row) for row in rows))
+    final = last.cum_ratio  # n >= 1, so there is a last row
     deviation = abs(final - asymptotics.INV_ZETA4)
     out.write(_SWEEP_FOOTER[args.format] % (final, deviation))
 
@@ -115,8 +115,6 @@ _COMMANDS = (
     ("extremal", _cmd_extremal,
      "rho along powered primorials, against 1/zeta(2)", "kmax"),
 )
-# the options taken before the command; argparse also accepts any prefix of one
-_OPTIONS = ("-h", "--help", "--format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,11 +144,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     commands = {command[0] for command in _COMMANDS}
+    options = parser._option_string_actions  # argparse also takes any prefix of one
     for token in takewhile(lambda t: t not in commands, argv):
         # argparse would take the value after an unknown option for the
         # command ("invalid choice: '3'"), so name the option itself
         option = token.partition("=")[0]
-        if option.startswith("-") and not any(o.startswith(option) for o in _OPTIONS):
+        if option.startswith("-") and not any(o.startswith(option) for o in options):
             parser.error(f"unrecognized arguments: {token}")
     args = parser.parse_args(argv)
     try:

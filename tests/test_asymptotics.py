@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import count, islice
@@ -18,6 +19,7 @@ from oracles import (
 )
 from squaretori.arith import (
     MAX_SIEVE,
+    BudgetError,
     MultiplicativeSieve,
     factorize,
     sieve_multiplicative,
@@ -285,7 +287,7 @@ def test_partial_sums_match_divisor_sums(x, sieve_million):
 
 
 def test_sweep_stream_matches_partial_sums(sieve_100k):
-    records = list(sweep_stream(10, sieve=sieve_100k))
+    records = list(sweep_stream(10))
     assert [r.psi for r in records] == [1, 3, 4, 6, 6, 12, 8, 12, 12, 18]
     assert [r.sigma for r in records] == [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
     assert records[-1] == partial_sums(10, sieve=sieve_100k)
@@ -302,7 +304,7 @@ BLOCK_EDGES = (
 
 
 @pytest.mark.parametrize("limit", BLOCK_EDGES)
-def test_sweep_stream_across_block_edges(limit, sieve_million):
+def test_sweep_stream_across_block_edges(limit):
     sv = sieve_multiplicative(limit)
     expected = []
     cum_psi = cum_sigma = 0
@@ -311,12 +313,11 @@ def test_sweep_stream_across_block_edges(limit, sieve_million):
         cum_psi += p
         cum_sigma += s
         expected.append((n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma))
-    for sieve in (sv, sieve_million):
-        records = list(sweep_stream(limit, sieve=sieve))
-        assert records == expected
-        for n in {*BLOCK_EDGES, 65538, limit}:
-            if n <= limit:
-                assert records[n - 1] == partial_sums(n, sieve=sv)
+    records = list(sweep_stream(limit))
+    assert records == expected
+    for n in {*BLOCK_EDGES, 65538, limit}:
+        if n <= limit:
+            assert records[n - 1] == partial_sums(n, sieve=sv)
 
 
 def test_mean_order_deviation_shrinks(sieve_million):
@@ -396,11 +397,7 @@ def test_partial_sums_domain(sieve_100k):
         partial_sums(0)
     # a sieve never stands in for the limit check: index -1 would read its last entry
     for limit in (0, -1):
-        for call in (
-            partial_sums,
-            lambda limit, sieve: list(sweep_stream(limit, sieve=sieve)),
-            qd2_partial_sum,
-        ):
+        for call in (partial_sums, qd2_partial_sum):
             with pytest.raises(ValueError, match=f"limit must be >= 1, got {limit}"):
                 call(limit, sieve=sieve_100k)
     # a sieve shorter than the limit is ignored, not read past its end
@@ -408,10 +405,9 @@ def test_partial_sums_domain(sieve_100k):
 
 
 # the readers of a prebuilt sieve. Handed 10 entries that claim limit 20, at
-# limit 15 sweep_stream stopped at row 10, partial_sums raised IndexError and
-# qd2_partial_sum a numpy broadcast error; the sieve now refuses to be built
+# limit 15 partial_sums raised IndexError and qd2_partial_sum a numpy
+# broadcast error; the sieve now refuses to be built
 SIEVE_READERS = {
-    "sweep_stream": lambda limit, sieve: list(sweep_stream(limit, sieve=sieve)),
     "partial_sums": partial_sums,
     "qd2": qd2_partial_sum,
 }
@@ -436,7 +432,6 @@ FLOAT_SIZES = {
     "qd2": lambda sv: qd2_partial_sum(10.5),
     "qd2-sv": lambda sv: qd2_partial_sum(10.5, sieve=sv),
     "sweep_stream": lambda sv: list(sweep_stream(3.5)),
-    "sweep_stream-sv": lambda sv: list(sweep_stream(3.5, sieve=sv)),
 }
 
 
@@ -445,3 +440,20 @@ def test_sizes_must_be_integers(call, sieve_100k):
     # refused by operator.index before numpy sees the value, sieve or no sieve
     with pytest.raises(TypeError, match=NOT_AN_INTEGER):
         call(sieve_100k)
+
+
+# each refused by sieve_multiplicative inside the call, before a generator exists
+STREAM_REFUSALS = {
+    "float": (3.5, TypeError, NOT_AN_INTEGER),
+    "zero": (0, ValueError, "limit must be >= 1, got 0"),
+    "2**63": (2**63, OverflowError, f"limit = {2**63} leaves the 64-bit range"),
+    "MAX_SIEVE+1": (MAX_SIEVE + 1, BudgetError, "over the MAX_SIEVE budget"),
+}
+
+
+@pytest.mark.parametrize(
+    "limit, refusal, message", STREAM_REFUSALS.values(), ids=STREAM_REFUSALS.keys()
+)
+def test_sweep_stream_refuses_at_the_call(limit, refusal, message):
+    with pytest.raises(refusal, match=re.escape(message)):
+        sweep_stream(limit)  # never iterated: the refusal comes before any row

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from squaretori import arith, asymptotics, cli
+from squaretori import asymptotics, cli
 from squaretori.cli import main
 
 
@@ -381,10 +381,10 @@ class Writes(list):
 
 
 @pytest.mark.parametrize("fmt", list(SWEEP_LAYOUT))
-def test_chunk_edges_are_byte_exact(fmt, sieve_100k):
+def test_chunk_edges_are_byte_exact(fmt):
     header, template = SWEEP_LAYOUT[fmt]
     chunk = cli._CHUNK
-    rows = list(asymptotics.sweep_stream(2 * chunk + 1, sieve=sieve_100k))
+    rows = list(asymptotics.sweep_stream(2 * chunk + 1))
     for count in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         writes = Writes()
         cli._emit(writes, fmt, cli._SWEEP, rows[:count])
@@ -396,18 +396,40 @@ def test_chunk_edges_are_byte_exact(fmt, sieve_100k):
         assert [w.count("\n") for w in body] == [chunk] * full + [rest] * (rest > 0)
 
 
+# sweeps whose last row sits on or next to a _BLOCK or _CHUNK edge
+FOOTER_EDGES = sorted({
+    1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1,
+    asymptotics._BLOCK - 1, asymptotics._BLOCK, asymptotics._BLOCK + 1,
+})
+
+
+@pytest.mark.parametrize("fmt", list(SWEEP_LAYOUT))
+def test_the_footer_is_the_sum_routes_ratio(capsys, fmt):
+    # the footer takes the last streamed row's cum_ratio; partial_sums sums
+    # the sieve's columns on its own, and the last row and the footer must
+    # both print its record
+    template = SWEEP_LAYOUT[fmt][1]
+    for n in FOOTER_EDGES:
+        code, out, err = run_cli(capsys, "--format", fmt, "sweep", str(n))
+        assert code == 0 and err == ""
+        *_, last, footer = out.splitlines(keepends=True)
+        record = asymptotics.partial_sums(n)
+        deviation = abs(record.cum_ratio - asymptotics.INV_ZETA4)
+        assert last == template % record
+        assert footer == cli._SWEEP_FOOTER[fmt] % (record.cum_ratio, deviation)
+
+
 def test_row_buffers_stay_flat_in_n():
     # one json chunk of lines and one block of ints, whatever the sweep's length
     sizes = (3 * asymptotics._BLOCK + 1, 6 * asymptotics._BLOCK + 1)
-    sv = arith.sieve_multiplicative(sizes[-1])
     peaks = []
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
         try:
             for n in sizes:
+                rows = asymptotics.sweep_stream(n)  # its sieve is not a row buffer
                 tracemalloc.reset_peak()
                 before, _ = tracemalloc.get_traced_memory()
-                rows = asymptotics.sweep_stream(n, sieve=sv)
                 cli._emit(sink, "json", cli._SWEEP, rows)
                 _, peak = tracemalloc.get_traced_memory()
                 peaks.append((peak - before) / 2**20)
@@ -455,8 +477,9 @@ def test_only_the_sieve_loads_numpy(capsys, argv):
 # --- errors and exit codes -----------------------------------------------------
 
 def test_zero_is_a_domain_error(capsys):
-    code, out, err = run_cli(capsys, "count", "0")
-    assert code == 1 and out == "" and err != ""
+    for command in ("count", "sweep"):  # a sweep is refused before its header
+        code, out, err = run_cli(capsys, "--format", "plain", command, "0")
+        assert code == 1 and out == "" and err != ""
 
 
 def test_overflow_is_reported(capsys):
@@ -498,7 +521,8 @@ def test_enumeration_budget_exit(capsys):
 
 
 def test_sieve_budget_exit(capsys):
-    code, out, err = run_cli(capsys, "sweep", "10000001")  # refused before numpy
+    # refused before numpy loads and before the header is written
+    code, out, err = run_cli(capsys, "--format", "plain", "sweep", "10000001")
     assert code == 1 and out == ""
     assert err == (
         "error: a sieve of 10000001 entries, over the MAX_SIEVE budget of 10000000\n"
@@ -513,9 +537,33 @@ def test_failed_allocation_exit(capsys, monkeypatch):
     def refuse(limit):
         raise MemoryError("Unable to allocate 7.28 PiB for an array")
 
-    monkeypatch.setattr(arith, "sieve_multiplicative", refuse)
+    monkeypatch.setattr(asymptotics, "sieve_multiplicative", refuse)
     code, out, err = run_cli(capsys, "sweep", "10")
     assert code == 1 and out == ""
+    assert err == "error: Unable to allocate 7.28 PiB for an array\n"
+
+
+SWEEP_REFUSALS = {
+    "0": "limit must be >= 1, got 0",
+    "-3": "limit must be >= 1, got -3",
+    "9223372036854775808": "limit = 9223372036854775808 leaves the 64-bit range",
+    "10000001": "a sieve of 10000001 entries, over the MAX_SIEVE budget of 10000000",
+}
+
+
+@pytest.mark.parametrize("fmt", list(SWEEP_LAYOUT))
+def test_a_refused_sweep_writes_no_header(capsys, monkeypatch, fmt):
+    # sweep_stream refuses at the call, so no format gets as far as its header
+    for n, message in SWEEP_REFUSALS.items():
+        code, out, err = run_cli(capsys, "--format", fmt, "sweep", n)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def refuse(limit):
+        raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+    monkeypatch.setattr(asymptotics, "sieve_multiplicative", refuse)
+    code, out, err = run_cli(capsys, "--format", fmt, "sweep", "10")
+    assert (code, out) == (1, "")
     assert err == "error: Unable to allocate 7.28 PiB for an array\n"
 
 
