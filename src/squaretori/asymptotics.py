@@ -105,42 +105,28 @@ def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepR
     either way.
     """
     limit, sv = _sieve_for(limit, sieve)
-    psi = sv.psi[: limit + 1]
-    sig = sv.sigma[: limit + 1]
-    cum_psi = int(psi.sum())
-    cum_sigma = int(sig.sum())
-    return SweepRecord(
-        limit,
-        int(psi[limit]),
-        int(sig[limit]),
-        int(psi[limit]) / int(sig[limit]),
-        cum_psi,
-        cum_sigma,
-        cum_psi / cum_sigma,
-    )
+    cum_psi = int(sv.psi[: limit + 1].sum())
+    cum_sigma = int(sv.sigma[: limit + 1].sum())
+    p, s = int(sv.psi[limit]), int(sv.sigma[limit])
+    return SweepRecord(limit, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma)
 
 
-# Sieve entries sweep_stream turns into Python ints at a time. 8192 keeps
-# its two lists of ints small, so memory stays flat in N, and wall time is
-# no worse than at 65536.
-_BLOCK = 8192
+def sweep_stream(limit: int) -> Iterator[tuple]:
+    """All census rows 1..limit in order, from one sieve pass.
 
-
-def sweep_stream(limit: int) -> Iterator[SweepRecord]:
-    """All census rows 1..limit in order, from one sieve pass."""
+    Each row is a plain tuple in SweepRecord field order, of exact Python
+    ints and floats; the last one equals partial_sums(limit).
+    """
     sv = sieve_multiplicative(limit)  # refuses at the call, before the first row
 
-    def generate() -> Iterator[SweepRecord]:
+    def generate() -> Iterator[tuple]:
         cum_psi = cum_sigma = 0
-        new = tuple.__new__  # skips the per-row Python-level NamedTuple constructor
-        for low in range(1, sv.limit + 1, _BLOCK):
-            top = min(low + _BLOCK, sv.limit + 1)
-            psi, sig = sv.psi[low:top].tolist(), sv.sigma[low:top].tolist()
-            for n, p, s in zip(range(low, top), psi, sig):
-                cum_psi += p
-                cum_sigma += s
-                row = (n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma)
-                yield new(SweepRecord, row)
+        # a memoryview hands out one Python int per int64 entry and buffers none
+        psi, sig = memoryview(sv.psi)[1:], memoryview(sv.sigma)[1:]
+        for n, p, s in zip(count(1), psi, sig):
+            cum_psi += p
+            cum_sigma += s
+            yield n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma
 
     return generate()
 

@@ -92,7 +92,7 @@ def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> None:
 def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> None:
     rows = asymptotics.sweep_stream(args.n)  # refuses before the header is written
     _emit(out, args.format, _SWEEP, ((last := row) for row in rows))
-    final = last.cum_ratio  # n >= 1, so there is a last row
+    final = last[-1]  # the last row's cum_ratio; n >= 1, so there is one
     deviation = abs(final - asymptotics.INV_ZETA4)
     out.write(_SWEEP_FOOTER[args.format] % (final, deviation))
 
@@ -155,9 +155,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args, sys.stdout)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed early; point stdout at devnull so exit flushes cleanly
+    except OSError as exc:
+        # a closed reader or a full device; point stdout at devnull so exit
+        # flushes cleanly, and name the failure unless the reader just left
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, MemoryError, arith.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -198,11 +198,10 @@ def enumerate_lattices(n: int) -> Iterator[HnfLattice]:
     _budget(total, MAX_TRIPLES, "MAX_TRIPLES", f"index {n} needs at least %s triples")
 
     def generate() -> Iterator[HnfLattice]:
-        new = tuple.__new__  # skips validation: twists from range(1, width) meet it
+        new = tuple.__new__  # skips validation: each width divides n, twist < width
         for width in divisors(f):
             height = n // width
-            yield HnfLattice(width, height, 0)  # validates the width once
-            for twist in range(1, width):
+            for twist in range(width):
                 yield new(HnfLattice, (width, height, twist))
 
     return generate()

@@ -1,10 +1,22 @@
+import os
 import signal
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 from squaretori.arith import sieve_multiplicative
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a child interpreter, with this checkout's src on PYTHONPATH."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 @pytest.fixture(scope="session")

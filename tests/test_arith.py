@@ -383,9 +383,13 @@ except BudgetError as exc:
 """
 
 
-def test_the_sieve_budget_is_refused_before_numpy_loads():
+def test_the_sieve_budget_is_refused_before_numpy_loads(src_env):
     result = subprocess.run(
-        [sys.executable, "-c", _REFUSE], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", _REFUSE],
+        capture_output=True,
+        env=src_env,
+        text=True,
+        timeout=60,
     )
     assert result.returncode == 0 and result.stderr == ""
     elapsed, loads_numpy, message = result.stdout.splitlines()

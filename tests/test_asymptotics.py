@@ -25,7 +25,6 @@ from squaretori.arith import (
     sieve_multiplicative,
 )
 from squaretori.asymptotics import (
-    _BLOCK,
     INV_ZETA2,
     INV_ZETA4,
     ZETA2_OVER_ZETA4,
@@ -288,19 +287,18 @@ def test_partial_sums_match_divisor_sums(x, sieve_million):
 
 def test_sweep_stream_matches_partial_sums(sieve_100k):
     records = list(sweep_stream(10))
-    assert [r.psi for r in records] == [1, 3, 4, 6, 6, 12, 8, 12, 12, 18]
-    assert [r.sigma for r in records] == [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
+    assert [psi for _, psi, *_ in records] == [1, 3, 4, 6, 6, 12, 8, 12, 12, 18]
+    assert [sigma for _, _, sigma, *_ in records] == [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
     assert records[-1] == partial_sums(10, sieve=sieve_100k)
-    for r in records:
-        assert r.cum_ratio == r.cum_psi / r.cum_sigma
-        assert r.rho == r.psi / r.sigma
+    for n, psi, sigma, ratio, cum_psi, cum_sigma, cum_ratio in records:
+        assert cum_ratio == cum_psi / cum_sigma
+        assert ratio == psi / sigma
 
 
-# limits on and around sweep_stream's block edges; 65536 is one at every
-# power-of-two block size up to 2**16
-BLOCK_EDGES = (
-    _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 65535, 65536, 65537, 131073
-)
+# limits on and around powers of two, where a row generator that reads the
+# sieve in blocks would turn one over; 65536 is an edge for every block size
+# up to 2**16
+BLOCK_EDGES = (8191, 8192, 8193, 16385, 65535, 65536, 65537, 131073)
 
 
 @pytest.mark.parametrize("limit", BLOCK_EDGES)
@@ -318,6 +316,16 @@ def test_sweep_stream_across_block_edges(limit):
     for n in {*BLOCK_EDGES, 65538, limit}:
         if n <= limit:
             assert records[n - 1] == partial_sums(n, sieve=sv)
+
+
+@pytest.mark.parametrize("limit", [1, 8193, 131073])
+def test_sweep_rows_are_plain_tuples_of_exact_python_numbers(limit):
+    # int64 scalars would print alike but overflow silently; the rows hold
+    # Python ints, and their ratios Python floats
+    kinds = (int, int, int, float, int, int, float)
+    for row in sweep_stream(limit):
+        assert type(row) is tuple
+        assert tuple(map(type, row)) == kinds, row
 
 
 def test_mean_order_deviation_shrinks(sieve_million):

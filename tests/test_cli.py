@@ -346,9 +346,9 @@ def test_output_is_byte_exact(capsys, argv, fmt):
     assert out == GOLDEN[argv, fmt]
 
 
-# sha256 of the whole stdout of `sweep 131073`, whose rows cross the block
-# edges of sweep_stream (every _BLOCK rows, 65536 and 131072 among them) and
-# the chunk edges of _emit (every _CHUNK lines)
+# sha256 of the whole stdout of `sweep 131073`, whose rows cross powers of
+# two (65536 and 131072 among them) and the chunk edges of _emit (every
+# _CHUNK lines)
 SWEEP_131073_SHA256 = {
     "plain": "b3bbcba628c8ac14ff4e2c9facde9070ea173eda19f3c0fb584dc32b3d2cc42b",
     "csv": "d71cb9ef3ac08a771f806d8f48b7aeefd663715623c519a1dc4d5ccac3271803",
@@ -396,10 +396,10 @@ def test_chunk_edges_are_byte_exact(fmt):
         assert [w.count("\n") for w in body] == [chunk] * full + [rest] * (rest > 0)
 
 
-# sweeps whose last row sits on or next to a _BLOCK or _CHUNK edge
+# sweeps whose last row sits on or next to a _CHUNK edge or a power of two
 FOOTER_EDGES = sorted({
     1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1,
-    asymptotics._BLOCK - 1, asymptotics._BLOCK, asymptotics._BLOCK + 1,
+    8191, 8192, 8193,
 })
 
 
@@ -420,8 +420,8 @@ def test_the_footer_is_the_sum_routes_ratio(capsys, fmt):
 
 
 def test_row_buffers_stay_flat_in_n():
-    # one json chunk of lines and one block of ints, whatever the sweep's length
-    sizes = (3 * asymptotics._BLOCK + 1, 6 * asymptotics._BLOCK + 1)
+    # one json chunk of lines and one row of ints, whatever the sweep's length
+    sizes = (24577, 49153)
     peaks = []
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
@@ -461,11 +461,12 @@ print("numpy" in sys.modules, code, file=sys.stderr)
         ("sweep", "10"),
     ],
 )
-def test_only_the_sieve_loads_numpy(capsys, argv):
+def test_only_the_sieve_loads_numpy(capsys, src_env, argv):
     _, expected, _ = run_cli(capsys, *argv)
     result = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         capture_output=True,
+        env=src_env,
         text=True,
         timeout=60,
     )
@@ -609,10 +610,11 @@ def test_usage_error_exits_with_two(capsys):
 
 # --- the installed module entry point -------------------------------------------
 
-def test_module_entry_point():
+def test_module_entry_point(src_env):
     result = subprocess.run(
         [sys.executable, "-m", "squaretori", "--format", "json", "count", "4"],
         capture_output=True,
+        env=src_env,
         text=True,
         timeout=60,
     )
@@ -621,11 +623,12 @@ def test_module_entry_point():
     assert json.loads(result.stdout)["psi"] == 6
 
 
-def test_closed_pipe_exits_without_traceback():
+def test_closed_pipe_exits_without_traceback(src_env):
     proc = subprocess.Popen(
         [sys.executable, "-m", "squaretori", "sweep", "200000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=src_env,
     )
     assert proc.stdout.readline().startswith(b"n psi sigma")
     proc.stdout.close()
@@ -633,3 +636,23 @@ def test_closed_pipe_exits_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr
     assert stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [("count", "12"), ("--format", "json", "sweep", "100000")]
+)
+def test_a_full_device_is_one_error_line(src_env, argv):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "squaretori", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=src_env,
+            text=True,
+            timeout=60,
+        )
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr

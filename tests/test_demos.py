@@ -7,7 +7,6 @@ to change.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +24,11 @@ DEMO_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
-def test_demo_output_is_unchanged(name):
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+def test_demo_output_is_unchanged(name, src_env):
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
         capture_output=True,
-        env=env,
+        env=src_env,
         timeout=60,
     )
     assert result.returncode == 0
