@@ -224,7 +224,7 @@ def psi_prime(n: int) -> int:
 
 @dataclass(frozen=True)
 class MultiplicativeSieve:
-    """Batch values psi[n] and sigma[n] for n <= limit, as int64 arrays.
+    """Batch values psi[n] and sigma[n] for n <= limit, as read-only int64 arrays.
 
     Index 0 is zero padding, so array[n] is the value at n; n >= 1 is
     square-free exactly where psi[n] == sigma[n].
@@ -243,6 +243,7 @@ class MultiplicativeSieve:
                 raise ValueError("psi and sigma must be int64 arrays")
             if column.shape != size:
                 raise ValueError("psi and sigma must hold limit + 1 entries")
+        self.psi.flags.writeable = self.sigma.flags.writeable = False
 
 
 def sieve_multiplicative(limit: int) -> MultiplicativeSieve:

@@ -133,51 +133,38 @@ def hnf_reduce(g: GeneratorPair) -> HnfLattice:
     return HnfLattice(width, height, twist)
 
 
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*x + t*y = g = gcd(x, y) >= 0."""
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def smith_shape(g: GeneratorPair) -> QuotientShape:
     """Invariant factors of Z^2/L by integer row and column reduction.
 
-    Each pass clears one off-diagonal entry with a single unimodular
-    Bezout mix, pulling the pivot down to a gcd; a final fold restores
-    d1 | d2 when needed. Works directly on the generator matrix without
-    reusing content() or lattice_index(), so it serves as an independent
-    cyclicity oracle; d1 = content and d1*d2 = index are checked as
-    properties in the tests.
+    Euclid's algorithm runs along the first row by column operations and
+    down the first column by row operations: each step reduces the
+    off-diagonal entry modulo the pivot, and a nonzero remainder is
+    swapped in as the new pivot. When both off-diagonal entries are 0 but
+    the pivot does not divide the last entry, the second row is added to
+    the first and the reduction goes on. It ends because every swap makes
+    the pivot smaller in absolute value, and a fold forces a swap. Works
+    directly on the generator matrix without reusing content() or
+    lattice_index(), so it serves as an independent cyclicity oracle;
+    d1 = content and d1*d2 = index are checked as properties in the tests.
     """
     a, b = g.u[0], g.v[0]
     c, d = g.u[1], g.v[1]
-    while True:
-        if c != 0:
-            if a != 0 and c % a == 0:  # plain row subtraction, pivot intact
-                c, d = 0, d - (c // a) * b
-            else:  # Bezout row mix; pivot strictly shrinks to gcd(a, c)
-                gg, s, t = _xgcd(a, c)
-                a, b, c, d = gg, s * b + t * d, 0, (a // gg) * d - (c // gg) * b
-        if b != 0:
-            if a != 0 and b % a == 0:  # plain column subtraction
-                b, d = 0, d - (b // a) * c
-            else:  # Bezout column mix
-                gg, s, t = _xgcd(a, b)
-                a, b, c, d = gg, 0, s * c + t * d, (a // gg) * d - (b // gg) * c
-        if b == 0 and c == 0:
-            a, d = abs(a), abs(d)
-            if d % a == 0:
-                return QuotientShape(a, d)
-            c = d  # fold the second invariant back in and reduce again
+    if a == 0:  # the generators span a lattice, so b != 0
+        a, b, c, d = b, a, d, c
+    while b or c or d % a:
+        if not (b or c):  # a does not divide d: add the second row to the first
+            b = d
+        while b:  # Euclid along the first row
+            q = b // a
+            b, d = b - q * a, d - q * c
+            if b:
+                a, b, c, d = b, a, d, c
+        while c:  # Euclid down the first column
+            q = c // a
+            c, d = c - q * a, d - q * b
+            if c:
+                a, b, c, d = c, d, a, b
+    return QuotientShape(abs(a), abs(d))
 
 
 def is_cyclic(lat: HnfLattice) -> bool:
@@ -221,17 +208,9 @@ def to_permutation_pair(lat: HnfLattice) -> tuple[list[int], list[int]]:
     """
     n = lat.index
     _budget(n, MAX_TRIPLES, "MAX_TRIPLES", "a torus of %s squares")
-    w, h, t = lat.width, lat.height, lat.twist
-    horizontal = [0] * n
-    vertical = [0] * n
-    for j in range(h):
-        row = w * j
-        for i in range(w):
-            horizontal[row + i] = row + (i + 1) % w
-            if j < h - 1:
-                vertical[row + i] = row + w + i
-            else:
-                vertical[row + i] = (i + t) % w
+    w, t, top = lat.width, lat.twist, n - lat.width
+    horizontal = [k - k % w + (k + 1) % w for k in range(n)]
+    vertical = [k + w if k < top else (k + t) % w for k in range(n)]
     return horizontal, vertical
 
 

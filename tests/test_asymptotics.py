@@ -430,6 +430,16 @@ def test_a_hand_built_sieve_is_checked_before_it_is_read(read):
     assert read(10, sieve=rebuilt) == read(10, sieve=sv)
 
 
+def test_a_checked_sieve_cannot_be_changed_after_its_check():
+    # sv.psi[3] = 99 once went through, and partial_sums then gave cum_ratio 2.034
+    sv = sieve_multiplicative(10)
+    ones = MultiplicativeSieve(10, np.ones(11, np.int64), np.ones(11, np.int64))
+    for column in (sv.psi, sv.sigma, ones.psi, ones.sigma):
+        with pytest.raises(ValueError, match="read-only"):
+            column[3] = 99
+    assert partial_sums(10, sieve=sv) == partial_sums(10)
+
+
 NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
 # each sized entry point handed a float, with and without a prebuilt sieve sv
 FLOAT_SIZES = {

@@ -1,5 +1,6 @@
 import pickle
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -201,6 +202,31 @@ def test_smith_agrees_with_content_and_index():
         assert shape.d1 * shape.d2 == lattice_index(g)
 
 
+# consecutive Fibonacci numbers, Euclid's worst case; Cassini's identity makes det 1
+CASSINI = GeneratorPair(
+    (4660046610375530309, 2880067194370816120),
+    (2880067194370816120, 1779979416004714189),
+)
+
+
+def test_smith_on_every_small_pair_and_the_euclid_worst_case(within):
+    # a reduction that does not end fails here instead of hanging the suite
+    with within(5):
+        span = range(-6, 7)
+        pairs = [
+            GeneratorPair((a, c), (b, d))
+            for a, b, c, d in product(span, repeat=4)
+            if a * d != b * c
+        ]
+        assert len(pairs) == 27_248
+        for g in pairs:
+            d1 = content(g)
+            assert smith_shape(g) == QuotientShape(d1, lattice_index(g) // d1), g
+        # reducing the pivot by the entry instead looped forever on this pair
+        assert smith_shape(GeneratorPair((-6, -6), (-6, -3))) == QuotientShape(3, 6)
+        assert smith_shape(CASSINI) == QuotientShape(1, 1)
+
+
 # --- cyclicity ----------------------------------------------------------------
 
 def test_is_cyclic_examples():
@@ -297,6 +323,19 @@ def test_permutation_pair_examples():
     group = group_closure(hp, vp)
     assert len(group) == 4
     assert all(perm_order(g) <= 2 for g in group)  # Z/2 x Z/2, no 4-cycle
+
+
+def test_permutation_pair_exact_arrays():
+    # the group oracles miss a twist-sign slip such as (i - t) % w: it keeps the
+    # group order and the cyclicity, so twisted multi-row pairs are pinned here
+    assert to_permutation_pair(HnfLattice(3, 2, 1)) == (
+        [1, 2, 0, 4, 5, 3],
+        [3, 4, 5, 1, 2, 0],
+    )
+    assert to_permutation_pair(HnfLattice(3, 3, 2)) == (
+        [1, 2, 0, 4, 5, 3, 7, 8, 6],
+        [3, 4, 5, 6, 7, 8, 2, 0, 1],
+    )
 
 
 def test_permutation_pair_structure():

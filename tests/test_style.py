@@ -69,8 +69,8 @@ def test_names_read_sees_loads_and_attributes():
     assert names_read(tree) == {"print", "m", "y"}
 
 
-def public_names(tree):
-    """Top-level def, class and assigned names of a module not starting with _."""
+def top_level_names(tree):
+    """Top-level def, class and assigned names of a module."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -83,7 +83,12 @@ def public_names(tree):
                 for name in ast.walk(target)
                 if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
             )
-    return {name for name in names if not name.startswith("_")}
+    return names
+
+
+def public_names(tree):
+    """Top-level def, class and assigned names of a module not starting with _."""
+    return {name for name in top_level_names(tree) if not name.startswith("_")}
 
 
 def test_public_names_sees_defs_classes_and_constants():
@@ -93,6 +98,24 @@ def test_public_names_sees_defs_classes_and_constants():
         "A, B = 1, 2\nx.y = 4\n"
     )
     assert public_names(tree) == {"f", "C", "K", "T", "A", "B"}
+
+
+def private_names(tree):
+    """Top-level def, class and assigned names starting with _ but not __."""
+    return {
+        name
+        for name in top_level_names(tree)
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+def test_private_names_sees_single_underscore_names():
+    tree = ast.parse(
+        "import _thread\nfrom os import _exit\n"
+        "def _f(): pass\nclass _C: pass\n_K = 1\n_T: int = 2\n__all__ = []\n"
+        "_A, B = 1, 2\nx._y = 4\npublic = 5\ndef g():\n    _local = 6\n"
+    )
+    assert private_names(tree) == {"_f", "_C", "_K", "_T", "_A"}
 
 
 def public_fields(tree):
@@ -128,6 +151,19 @@ def test_every_public_name_has_a_reader():
         for tree in [ast.parse(path.read_text())]
         for name in public_names(tree) | public_fields(tree)
         if name.rpartition(".")[2] not in read
+    )
+    assert not unread, unread
+
+
+def test_every_private_name_has_a_reader():
+    """Private helpers and constants are read somewhere in the library."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCE.glob("*.py")}
+    read = set().union(*map(names_read, trees.values()))
+    unread = sorted(
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in private_names(tree)
+        if name not in read
     )
     assert not unread, unread
 
