@@ -23,8 +23,8 @@ if TYPE_CHECKING:
 # Largest admissible input and output value. Results above this raise.
 WORD_BOUND = 2**63 - 1
 
-# At its peak the sieve holds three int64 arrays of limit + 1 entries,
-# about 240 MB at this cap.
+# At its peak the sieve holds two int64 columns, or one and two int32
+# scratch arrays, of limit + 1 entries: about 160 MB at this cap.
 MAX_SIEVE = 10_000_000
 
 
@@ -243,17 +243,21 @@ class MultiplicativeSieve:
                 raise ValueError("psi and sigma must be int64 arrays")
             if column.shape != size:
                 raise ValueError("psi and sigma must hold limit + 1 entries")
+        # a view's base would stay writable after the view is made read-only
+        if not (self.psi.flags.owndata and self.sigma.flags.owndata):
+            raise ValueError("psi and sigma must own their data, not view an array")
         self.psi.flags.writeable = self.sigma.flags.writeable = False
 
 
 def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
     """Batch values over [1, limit] from strided numpy passes over prime powers.
 
-    Each prime p <= sqrt(limit) scales every multiple of p by its p-factor,
-    then every multiple of p^k by the step from p^(k-1) to p^k, and divides
-    p out of n there. What is left of n is 1 or the one prime factor above
-    sqrt(limit) that an n <= limit can have, applied in a final pass. All
-    arithmetic is exact int64, so the arrays agree entrywise with the
+    Each prime p <= sqrt(limit) scales every multiple of p by p + 1, and
+    multiplies p into an int32 record of n's small-prime part at every
+    multiple of p^k. One division of n by that part leaves 1 or the one
+    prime factor above sqrt(limit) that an n <= limit can have, applied
+    next. Then each multiple of p^k takes the step from p^(k-1) to p^k.
+    All arithmetic is exact, so the arrays agree entrywise with the
     single-value functions, and psi == sigma exactly at square-free n.
     Deterministic; raises BudgetError when limit > MAX_SIEVE.
     """
@@ -261,22 +265,30 @@ def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
     _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
     import numpy as np  # loaded here, so paths without a sieve never import it
 
-    rem = np.arange(limit + 1, dtype=np.int64)  # n less its p^k, p <= sqrt(limit)
-    psi = np.ones(limit + 1, dtype=np.int64)
+    primes = list(filter(is_prime, range(2, isqrt(limit) + 1)))
     sig = np.ones(limit + 1, dtype=np.int64)
-    for p in filter(is_prime, range(2, isqrt(limit) + 1)):
-        psi[p::p] *= p + 1
-        sig[p::p] *= p + 1
-        rem[p::p] //= p
+    # small[n]: the p^k parts of n with p <= sqrt(limit); it divides
+    # n <= limit <= MAX_SIEVE < 2**31, so int32 holds every entry exactly
+    small = np.ones(limit + 1, dtype=np.int32)
+    for p in primes:
+        sig[p::p] *= p + 1  # the square-free factor that psi and sigma share
+        q = p
+        while q <= limit:
+            small[q::q] *= p
+            q *= p
+    rem = np.arange(limit + 1, dtype=np.int32)
+    rem //= small  # 1, or the one prime factor of n above sqrt(limit)
+    del small
+    rem += rem > 1  # a prime q left over becomes q + 1; rem[0] = 0 zeroes index 0
+    sig *= rem
+    del rem
+    psi = sig.copy()
+    for p in primes:
         q, below, upto = p * p, p + 1, p * p + p + 1
         while q <= limit:
             # on multiples of p^k: sigma's p-factor 1+..+p^(k-1) becomes 1+..+p^k
             psi[q::q] *= p
             sig[q::q] //= below
             sig[q::q] *= upto
-            rem[q::q] //= p
             q, below, upto = q * p, upto, upto * p + 1
-    rem += rem > 1  # a prime q left over becomes q + 1; rem[0] = 0 zeroes index 0
-    psi *= rem
-    sig *= rem
     return MultiplicativeSieve(limit, psi, sig)

@@ -370,6 +370,22 @@ def test_sieve_budget(within):
         sieve_multiplicative(0)
 
 
+def test_the_budget_fits_the_int32_scratch():
+    assert MAX_SIEVE < 2**31, "the sieve's int32 scratch must hold every n <= MAX_SIEVE"
+
+
+def test_sieve_at_the_budget_matches_single_values(within):
+    # the int32 scratch holds its largest entries here: 9999991, the largest
+    # prime below the cap, 2^23, 3^14, and the last 1000 entries up to 2^7 * 5^7
+    assert is_prime(9_999_991) and not any(map(is_prime, range(9_999_992, MAX_SIEVE)))
+    with within(5):
+        sv = sieve_multiplicative(MAX_SIEVE)
+        for n in (9_999_991, 2**23, 3**14, *range(MAX_SIEVE - 999, MAX_SIEVE + 1)):
+            f = factorize(n)
+            assert sv.psi[n] == dedekind_psi(f), n
+            assert sv.sigma[n] == sigma(f), n
+
+
 # refuses one entry over the budget in a fresh interpreter, then reports the
 # time the refusal took, whether numpy was imported, and the message
 _REFUSE = """\
@@ -426,8 +442,8 @@ def test_bound_ordering(sieve_100k):
 
 
 def test_sieve_peak_memory():
-    # three int64 columns (rem, psi, sigma) plus one bool temporary; numpy is
-    # imported above, so its own start-up allocations are not counted
+    # two int64 columns (psi, sigma), or sigma and two int32 scratch arrays;
+    # numpy is imported above, so its own start-up allocations are not counted
     limit = 10**6
     tracemalloc.start()
     try:
@@ -435,4 +451,4 @@ def test_sieve_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * 8 * (limit + 1), peak / (8 * (limit + 1))
+    assert peak <= 2.25 * 8 * (limit + 1), peak / (8 * (limit + 1))

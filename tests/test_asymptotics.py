@@ -440,6 +440,21 @@ def test_a_checked_sieve_cannot_be_changed_after_its_check():
     assert partial_sums(10, sieve=sv) == partial_sums(10)
 
 
+def test_a_hand_built_sieve_must_own_its_columns():
+    # built over views, the sieve once read a later psi[3] = 99 through them,
+    # and partial_sums gave cum_ratio 2.034 instead of 0.943
+    sv = sieve_multiplicative(10)
+    psi, sig = sv.psi.copy(), sv.sigma.copy()
+    with pytest.raises(ValueError, match="must own their data"):
+        MultiplicativeSieve(10, psi[:], sig[:])
+    psi[3] = 99
+    with pytest.raises(ValueError, match="must own their data"):
+        MultiplicativeSieve(10, sv.psi, sig[:])  # one view is enough to refuse
+    owned = MultiplicativeSieve(10, sv.psi.copy(), sig)
+    assert round(partial_sums(10, sieve=owned).cum_ratio, 3) == 0.943
+
+
+
 NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
 # each sized entry point handed a float, with and without a prebuilt sieve sv
 FLOAT_SIZES = {
