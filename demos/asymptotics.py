@@ -5,7 +5,8 @@ exactly on the square-free integers, never drops below 6/pi^2 = 0.6079...,
 and gets arbitrarily close to that floor along the powered primorials
 n_k = (2*3*...*p_k)^k. Averaged over all n the proportion settles at
 90/pi^4 = 0.9239...: most tori are cyclic. Everything below is computed
-exactly with the prime-power sieve and compared to the pi constants.
+exactly, from the prime-power sieve or from sums over divisors in about
+sqrt(N) steps, and compared to the pi constants.
 
 Run:  python3 demos/asymptotics.py
 """
@@ -46,12 +47,12 @@ print("Mean order: cumulative psi over cumulative sigma approaches")
 print(f"1/zeta(4) = {INV_ZETA4:.10f} like log(N)/N:")
 print(f"{'N':>8} {'cum_ratio':>13} {'deviation':>11}")
 for limit in (10**3, 10**4, 10**5, 2 * 10**5):
-    record = partial_sums(limit, sieve=sv)
+    record = partial_sums(limit)
     dev = abs(record.cum_ratio - INV_ZETA4)
     print(f"{limit:>8} {record.cum_ratio:>13.10f} {dev:>11.3e}")
 print()
 
-value = qd2_partial_sum(LIMIT, sieve=sv)
+value = qd2_partial_sum(LIMIT)
 print("Behind that limit sits the square-free zeta identity:")
 print(f"  sum of 1/d^2 over square-free d <= {LIMIT}  =  {value:.10f}")
 print(f"  zeta(2)/zeta(4) = 15/pi^2                 =  {ZETA2_OVER_ZETA4:.10f}")

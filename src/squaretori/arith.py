@@ -235,17 +235,6 @@ class MultiplicativeSieve:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        import numpy as np  # already loaded by whoever built the columns
-
-        size = (_word(self.limit, "limit") + 1,)
-        for column in (self.psi, self.sigma):
-            if not (isinstance(column, np.ndarray) and column.dtype == np.int64):
-                raise ValueError("psi and sigma must be int64 arrays")
-            if column.shape != size:
-                raise ValueError("psi and sigma must hold limit + 1 entries")
-        # a view's base would stay writable after the view is made read-only
-        if not (self.psi.flags.owndata and self.sigma.flags.owndata):
-            raise ValueError("psi and sigma must own their data, not view an array")
         self.psi.flags.writeable = self.sigma.flags.writeable = False
 
 

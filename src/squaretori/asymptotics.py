@@ -5,7 +5,7 @@ exactly on the square-free integers, and dips toward 6/pi^2 = 1/zeta(2)
 along powered primorials. In the mean the cyclic count is 1/zeta(4) of
 the total: sum(psi)/sum(sigma) -> 90/pi^4. This module holds the zeta
 constants, the exact ratio, the extremal sequence as an Euler product,
-and partial-sum sweeps backed by the prime-power sieve.
+the exact mean-order sums and the census sweep over the prime-power sieve.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ from itertools import count, islice
 from typing import Iterator, NamedTuple
 
 from .arith import (
+    MAX_SIEVE,
     MultiplicativeSieve,
     PrimeFactorization,
+    _budget,
     _word,
     dedekind_psi,
+    factorize,
     is_prime,
     sieve_multiplicative,
     sigma,
@@ -85,30 +88,36 @@ class SweepRecord(NamedTuple):
     cum_ratio: float
 
 
-def _sieve_for(
-    limit: int, sieve: MultiplicativeSieve | None
-) -> tuple[int, MultiplicativeSieve]:
-    """limit as a checked 64-bit count, and a sieve covering it."""
-    limit = _word(limit, "limit")
-    # sieve_multiplicative checks the budget for anything not covered
-    if sieve is not None and limit <= sieve.limit:
-        return limit, sieve
-    return limit, sieve_multiplicative(limit)
+def _sigma_sum(x: int) -> int:
+    """sigma(1) + ... + sigma(x), the sum of k over the pairs k * m <= x."""
+    r = math.isqrt(x)  # each pair has k <= r or m <= r (Dirichlet's hyperbola)
+    total = -r * (r * (r + 1) // 2)  # pairs with k, m <= r come twice: their k sum
+    for k in range(1, r + 1):
+        q = x // k
+        total += k * q + q * (q + 1) // 2  # the pairs (k, m <= q), then (m <= q, k)
+    return total
 
 
 def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepRecord:
     """Final census row at `limit` from exact integer cumulative sums.
 
-    cum_psi/cum_sigma converges to 1/zeta(4) with an O(log(limit)/limit)
-    error. Pass a precomputed sieve (of any length >= limit) to avoid
-    re-sieving; a shorter one is ignored, and the result is identical
-    either way.
+    cum_psi/cum_sigma converges to 1/zeta(4) with an O(log(limit)/limit) error.
+    As psi's Dirichlet series is zeta(s)zeta(s-1)/zeta(2s), cum_psi sums
+    mu(d) * cum_sigma(limit // d^2) over d <= sqrt(limit). `sieve` is ignored.
     """
-    limit, sv = _sieve_for(limit, sieve)
-    cum_psi = int(sv.psi[: limit + 1].sum())
-    cum_sigma = int(sv.sigma[: limit + 1].sum())
-    p, s = int(sv.psi[limit]), int(sv.sigma[limit])
-    return SweepRecord(limit, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma)
+    limit = _word(limit, "limit")
+    # the sieve's domain, until a command of its own widens it
+    _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
+    r = math.isqrt(limit)
+    mu = [0] + [1] * r  # mu[d] for d <= r; index 0 is padding
+    for p in filter(is_prime, range(2, r + 1)):
+        mu[p::p] = [-m for m in mu[p::p]]
+        mu[p * p :: p * p] = [0] * (r // (p * p))
+    cum_psi = sum(m * _sigma_sum(limit // (d * d)) for d, m in enumerate(mu) if m)
+    cum_sigma = _sigma_sum(limit)
+    row = rho(factorize(limit))
+    ratio = cum_psi / cum_sigma
+    return SweepRecord(limit, row.psi, row.sigma, row.value, cum_psi, cum_sigma, ratio)
 
 
 def sweep_stream(limit: int) -> Iterator[tuple]:
@@ -132,17 +141,19 @@ def sweep_stream(limit: int) -> Iterator[tuple]:
 
 
 def qd2_partial_sum(limit: int, sieve: MultiplicativeSieve | None = None) -> float:
-    """Partial sum of 1/d^2 over square-free d <= limit.
+    """Partial sum of 1/d^2 over square-free d <= limit; `sieve` is ignored.
 
-    Converges to zeta(2)/zeta(4) = 15/pi^2; the omitted tail is below
-    1/limit.
+    Converges to zeta(2)/zeta(4) = 15/pi^2, with an omitted tail below 1/limit.
     """
+    limit = _word(limit, "limit")
+    _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
     import numpy as np
 
-    limit, sv = _sieve_for(limit, sieve)
+    squarefree = np.ones(limit + 1, dtype=bool)
+    for p in filter(is_prime, range(2, math.isqrt(limit) + 1)):
+        squarefree[p * p :: p * p] = False
     d = np.arange(limit + 1, dtype=np.float64)
     d[0] = 1.0  # avoid 0/0; index 0 is padding and excluded below
     d *= d
-    # square-free exactly where psi == sigma; the quotient reuses d's buffer
-    np.divide(sv.psi[: limit + 1] == sv.sigma[: limit + 1], d, out=d)
+    np.divide(squarefree, d, out=d)  # the quotient reuses d's buffer
     return float(d[1:].sum())

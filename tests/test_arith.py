@@ -21,7 +21,6 @@ from oracles import (
 from squaretori.arith import (
     MAX_SIEVE,
     BudgetError,
-    MultiplicativeSieve,
     PrimeFactorization,
     WORD_BOUND,
     dedekind_psi,
@@ -411,25 +410,6 @@ def test_the_sieve_budget_is_refused_before_numpy_loads(src_env):
     elapsed, loads_numpy, message = result.stdout.splitlines()
     assert float(elapsed) < 0.1
     assert (loads_numpy, message) == ("False", SIEVE_REFUSAL)
-
-
-def test_sieve_columns_are_int64_arrays_of_limit_plus_one_entries():
-    sv = sieve_multiplicative(10)
-    assert MultiplicativeSieve(10, sv.psi, sv.sigma) == sv
-    wrong_type, wrong_size = "must be int64 arrays", "must hold limit \\+ 1 entries"
-    for column, message in (
-        (sv.psi.astype(np.float64), wrong_type),
-        (sv.psi.astype(sv.psi.dtype.newbyteorder()), wrong_type),  # not native
-        (sv.psi.tolist(), wrong_type),
-        (sv.psi[:10], wrong_size),
-        (sv.psi.reshape(1, 11), wrong_size),
-    ):
-        with pytest.raises(ValueError, match=message):
-            MultiplicativeSieve(10, column, sv.sigma)
-        with pytest.raises(ValueError, match=message):
-            MultiplicativeSieve(10, sv.psi, column)
-    with pytest.raises(ValueError, match="limit must be >= 1, got 0"):
-        MultiplicativeSieve(0, sv.psi[:1], sv.sigma[:1])
 
 
 def test_bound_ordering(sieve_100k):

@@ -1,5 +1,8 @@
 import math
+import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import count, islice
@@ -256,17 +259,12 @@ def test_partial_sums_examples():
 def test_partial_sums_against_brute_force():
     cum_psi = 0
     cum_sigma = 0
-    sv = sieve_multiplicative(120)
     for n in range(1, 121):
         cum_psi += brute_psi_triples(n)
         cum_sigma += brute_sigma(n)
-        record = partial_sums(n, sieve=sv)
+        record = partial_sums(n)
         assert (record.cum_psi, record.cum_sigma) == (cum_psi, cum_sigma)
         assert record.cum_ratio == cum_psi / cum_sigma
-
-
-def test_partial_sums_accepts_longer_sieve(sieve_100k):
-    assert partial_sums(5000, sieve=sieve_100k) == partial_sums(5000)
 
 
 def test_divisor_sums_match_small_sieve_sums():
@@ -278,18 +276,54 @@ def test_divisor_sums_match_small_sieve_sums():
         assert divisor_sum_sigma(x) == cum_sigma[x], x
 
 
-@pytest.mark.parametrize("x", [10, 10**3, 10**4, 10**5, 10**6])
-def test_partial_sums_match_divisor_sums(x, sieve_million):
-    record = partial_sums(x, sieve=sieve_million)
+# MAX_SIEVE, the top of the domain, costs no sieve
+@pytest.mark.parametrize("x", [10, 10**3, 10**4, 10**5, 10**6, MAX_SIEVE])
+def test_partial_sums_match_divisor_sums(x):
+    record = partial_sums(x)
     assert record.cum_psi == divisor_sum_psi(x)
     assert record.cum_sigma == divisor_sum_sigma(x)
 
 
-def test_sweep_stream_matches_partial_sums(sieve_100k):
+def test_sieve_sums_match_sublinear_sums(sieve_million, within):
+    # two independent routes to the same sums: the sieve's columns added up,
+    # and the hyperbola method's mu-weighted divisor sums. Its r * T(r) term
+    # counts the pairs up to isqrt(N) twice, so an off-by-one there shows at
+    # a square; k stays below 1000 so that k^2 + 1 is inside the sieve
+    sv = sieve_million
+    cum_psi, cum_sigma = sv.psi.cumsum(), sv.sigma.cumsum()
+    ks = random.Random(2601).sample(range(2, 1000), 100)
+    limits = [*range(1, 2001), *(k * k + e for k in ks for e in (-1, 0, 1)), 10**6]
+    with within(3):
+        for n in limits:
+            record = partial_sums(n)
+            assert (record.cum_psi, record.cum_sigma) == (cum_psi[n], cum_sigma[n]), n
+            assert (record.psi, record.sigma) == (sv.psi[n], sv.sigma[n]), n
+
+
+_NO_NUMPY = """\
+import sys
+from squaretori.asymptotics import partial_sums
+print(partial_sums(10**6).cum_ratio, "numpy" in sys.modules)
+"""
+
+
+def test_partial_sums_loads_no_numpy(src_env):
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY],
+        capture_output=True,
+        env=src_env,
+        text=True,
+        timeout=60,
+    )
+    assert result.stderr == ""
+    assert result.stdout == f"{partial_sums(10**6).cum_ratio} False\n"
+
+
+def test_sweep_stream_matches_partial_sums():
     records = list(sweep_stream(10))
     assert [psi for _, psi, *_ in records] == [1, 3, 4, 6, 6, 12, 8, 12, 12, 18]
     assert [sigma for _, _, sigma, *_ in records] == [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
-    assert records[-1] == partial_sums(10, sieve=sieve_100k)
+    assert records[-1] == partial_sums(10)
     for n, psi, sigma, ratio, cum_psi, cum_sigma, cum_ratio in records:
         assert cum_ratio == cum_psi / cum_sigma
         assert ratio == psi / sigma
@@ -315,7 +349,7 @@ def test_sweep_stream_across_block_edges(limit):
     assert records == expected
     for n in {*BLOCK_EDGES, 65538, limit}:
         if n <= limit:
-            assert records[n - 1] == partial_sums(n, sieve=sv)
+            assert records[n - 1] == partial_sums(n)
 
 
 @pytest.mark.parametrize("limit", [1, 8193, 131073])
@@ -328,10 +362,10 @@ def test_sweep_rows_are_plain_tuples_of_exact_python_numbers(limit):
         assert tuple(map(type, row)) == kinds, row
 
 
-def test_mean_order_deviation_shrinks(sieve_million):
+def test_mean_order_deviation_shrinks():
     devs = []
     for limit in (10**3, 10**4, 10**5, 10**6):
-        record = partial_sums(limit, sieve=sieve_million)
+        record = partial_sums(limit)
         devs.append(abs(record.cum_ratio - INV_ZETA4))
     assert devs == sorted(devs, reverse=True)
     assert devs[1] < devs[0] and devs[2] < devs[1] and devs[3] < devs[2]
@@ -359,32 +393,30 @@ def test_qd2_examples():
     assert qd2_partial_sum(4) == pytest.approx(1 + 1 / 4 + 1 / 9, abs=1e-15)
 
 
-def test_qd2_converges_with_tail_bound(sieve_100k):
+def test_qd2_converges_with_tail_bound():
     target = ZETA2_OVER_ZETA4
     for limit in (10**3, 10**4, 10**5):
-        value = qd2_partial_sum(limit, sieve=sieve_100k)
+        value = qd2_partial_sum(limit)
         assert abs(value - target) <= 1.0 / limit
-    assert qd2_partial_sum(10**4, sieve=sieve_100k) <= qd2_partial_sum(
-        10**5, sieve=sieve_100k
-    )
+    assert qd2_partial_sum(10**4) <= qd2_partial_sum(10**5)
 
 
 def qd2_reference(limit):
     # the same IEEE operations as qd2_partial_sum, through three temporaries,
-    # on a square-free mask that does not come from the sieve
+    # on the oracle's square-free mask, whose primes come from trial division
     d = np.arange(limit + 1, dtype=np.float64)
     d[0] = 1.0
     terms = squarefree_mask(limit).astype(np.float64) / (d * d)
     return float(terms[1:].sum())
 
 
-def test_qd2_extra_peak_memory(sieve_million):
-    # one float64 array of limit + 1 entries plus the bool psi == sigma mask
+def test_qd2_extra_peak_memory():
+    # one float64 array of limit + 1 entries plus the bool square-free mask
     limit = 10**6
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        qd2_partial_sum(limit, sieve=sieve_million)
+        qd2_partial_sum(limit)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -393,41 +425,20 @@ def test_qd2_extra_peak_memory(sieve_million):
 
 
 @pytest.mark.parametrize("limit", [1, 2, 10, 999, 65537, 10**6])
-def test_qd2_is_bit_identical_to_the_reference(limit, sieve_million):
-    exact = sieve_multiplicative(limit)
-    longer = sieve_million if limit < 10**6 else sieve_multiplicative(limit + 3456)
-    for sv in (exact, longer):
-        assert qd2_partial_sum(limit, sieve=sv) == qd2_reference(limit)
+def test_qd2_is_bit_identical_to_the_reference(limit):
+    assert qd2_partial_sum(limit) == qd2_reference(limit)
 
 
 def test_partial_sums_domain(sieve_100k):
     with pytest.raises(ValueError):
         partial_sums(0)
-    # a sieve never stands in for the limit check: index -1 would read its last entry
+    # the ignored sieve never stands in for the limit check
     for limit in (0, -1):
         for call in (partial_sums, qd2_partial_sum):
             with pytest.raises(ValueError, match=f"limit must be >= 1, got {limit}"):
                 call(limit, sieve=sieve_100k)
-    # a sieve shorter than the limit is ignored, not read past its end
+    # a sieve of any length is ignored, never read past its end
     assert partial_sums(200, sieve=sieve_multiplicative(100)) == partial_sums(200)
-
-
-# the readers of a prebuilt sieve. Handed 10 entries that claim limit 20, at
-# limit 15 partial_sums raised IndexError and qd2_partial_sum a numpy
-# broadcast error; the sieve now refuses to be built
-SIEVE_READERS = {
-    "partial_sums": partial_sums,
-    "qd2": qd2_partial_sum,
-}
-
-
-@pytest.mark.parametrize("read", SIEVE_READERS.values(), ids=SIEVE_READERS.keys())
-def test_a_hand_built_sieve_is_checked_before_it_is_read(read):
-    sv = sieve_multiplicative(10)
-    with pytest.raises(ValueError, match="must hold limit \\+ 1 entries"):
-        read(15, sieve=MultiplicativeSieve(20, sv.psi, sv.sigma))
-    rebuilt = MultiplicativeSieve(10, sv.psi, sv.sigma)  # checked columns read as before
-    assert read(10, sieve=rebuilt) == read(10, sieve=sv)
 
 
 def test_a_checked_sieve_cannot_be_changed_after_its_check():
@@ -437,22 +448,22 @@ def test_a_checked_sieve_cannot_be_changed_after_its_check():
     for column in (sv.psi, sv.sigma, ones.psi, ones.sigma):
         with pytest.raises(ValueError, match="read-only"):
             column[3] = 99
-    assert partial_sums(10, sieve=sv) == partial_sums(10)
+    assert (sv.psi[3], sv.sigma[3], ones.psi[3], ones.sigma[3]) == (4, 4, 1, 1)
 
 
-def test_a_hand_built_sieve_must_own_its_columns():
-    # built over views, the sieve once read a later psi[3] = 99 through them,
-    # and partial_sums gave cum_ratio 2.034 instead of 0.943
+@pytest.mark.parametrize(
+    "read", [partial_sums, qd2_partial_sum], ids=["partial_sums", "qd2"]
+)
+def test_a_hand_built_sieve_is_never_read(read):
+    # a view taken before the sieve was built stays writable, and through it
+    # the sums once read psi[3] = 99: partial_sums gave cum_ratio 2.034
     sv = sieve_multiplicative(10)
     psi, sig = sv.psi.copy(), sv.sigma.copy()
-    with pytest.raises(ValueError, match="must own their data"):
-        MultiplicativeSieve(10, psi[:], sig[:])
-    psi[3] = 99
-    with pytest.raises(ValueError, match="must own their data"):
-        MultiplicativeSieve(10, sv.psi, sig[:])  # one view is enough to refuse
-    owned = MultiplicativeSieve(10, sv.psi.copy(), sig)
-    assert round(partial_sums(10, sieve=owned).cum_ratio, 3) == 0.943
-
+    v = psi[:]
+    hb = MultiplicativeSieve(10, psi, sig)
+    v[3] = 99
+    assert read(10, sieve=hb) == read(10)
+    assert round(partial_sums(10, sieve=hb).cum_ratio, 3) == 0.943
 
 
 NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"

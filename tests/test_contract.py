@@ -103,7 +103,7 @@ CONTRACTS = [
     ("partial_sums", "limit", partial_sums, {}),
     ("sweep_stream", "limit", sweep_stream, {}),  # refused before a row is asked for
     ("qd2_partial_sum", "limit", qd2_partial_sum, {}),
-    # a prebuilt sieve that covers 10 never stands in for the limit check
+    # the ignored sieve= keyword, still accepted, never stands in for the limit check
     ("partial_sums", "limit+sieve", lambda x: partial_sums(x, sieve=SV), {}),
     ("qd2_partial_sum", "limit+sieve", lambda x: qd2_partial_sum(x, sieve=SV), {}),
 ]
@@ -129,7 +129,7 @@ NO_INTEGER = {
     "is_cyclic": "an HnfLattice",
     "to_permutation_pair": "an HnfLattice",
     "permutation_pair_json": "an HnfLattice",
-    "MultiplicativeSieve": "sieve_multiplicative's output, passed back as built",
+    "MultiplicativeSieve": "sieve_multiplicative's output; no function reads one",
     "SweepRecord": "an output row; no function takes one back",
 }
 
@@ -191,8 +191,8 @@ BUDGETS = {
         lambda: sieve_multiplicative(MAX_SIEVE + 1),
         OVER_MAX_SIEVE,
     ),
-    # the readers sieve for themselves under the same budget, and a prebuilt
-    # sieve too short for the limit changes neither the budget nor the message
+    # the mean-order sums build no psi/sigma sieve but keep its budget, and
+    # the ignored sieve= keyword changes neither the budget nor the message
     "MAX_SIEVE-partial_sums": (lambda: partial_sums(MAX_SIEVE + 1), OVER_MAX_SIEVE),
     "MAX_SIEVE-partial_sums-sv": (
         lambda: partial_sums(MAX_SIEVE + 1, sieve=SV),
