@@ -23,8 +23,8 @@ if TYPE_CHECKING:
 # Largest admissible input and output value. Results above this raise.
 WORD_BOUND = 2**63 - 1
 
-# At its peak the sieve holds two int64 columns, or one and two int32
-# scratch arrays, of limit + 1 entries: about 160 MB at this cap.
+# At its peak the sieve holds two int64 columns of limit + 1 entries, whose
+# int32 halves its passes run in: about 160 MB at this cap.
 MAX_SIEVE = 10_000_000
 
 
@@ -242,11 +242,14 @@ def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
     """Batch values over [1, limit] from strided numpy passes over prime powers.
 
     Each prime p <= sqrt(limit) scales every multiple of p by p + 1, and
-    multiplies p into an int32 record of n's small-prime part at every
-    multiple of p^k. One division of n by that part leaves 1 or the one
-    prime factor above sqrt(limit) that an n <= limit can have, applied
-    next. Then each multiple of p^k takes the step from p^(k-1) to p^k.
-    All arithmetic is exact, so the arrays agree entrywise with the
+    multiplies p into a record of n's small-prime part at every multiple
+    of p^k. One division of n by that part leaves 1 or the one prime
+    factor above sqrt(limit) that an n <= limit can have, applied next.
+    Then each multiple of p^k takes the step from p^(k-1) to p^k. Every
+    pass runs in int32 on the halves of the two int64 result columns,
+    which are widened in place at the end. Each value on the way is at
+    most n or sigma(n), below 2**31 for n <= MAX_SIEVE by Robin's bound,
+    so all arithmetic is exact: the arrays agree entrywise with the
     single-value functions, and psi == sigma exactly at square-free n.
     Deterministic; raises BudgetError when limit > MAX_SIEVE.
     """
@@ -255,23 +258,24 @@ def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
     import numpy as np  # loaded here, so paths without a sieve never import it
 
     primes = list(filter(is_prime, range(2, isqrt(limit) + 1)))
-    sig = np.ones(limit + 1, dtype=np.int64)
-    # small[n]: the p^k parts of n with p <= sqrt(limit); it divides
-    # n <= limit <= MAX_SIEVE < 2**31, so int32 holds every entry exactly
-    small = np.ones(limit + 1, dtype=np.int32)
+    # each value below is at most n or sigma(n) < 2**31, so int32 holds it
+    sigma_col = np.empty(limit + 1, dtype=np.int64)
+    sig, small = sigma_col.view(np.int32).reshape(2, limit + 1)
+    sig.fill(1)
+    small.fill(1)  # small[n]: the p^k parts of n with p <= sqrt(limit)
     for p in primes:
         sig[p::p] *= p + 1  # the square-free factor that psi and sigma share
         q = p
         while q <= limit:
             small[q::q] *= p
             q *= p
-    rem = np.arange(limit + 1, dtype=np.int32)
-    rem //= small  # 1, or the one prime factor of n above sqrt(limit)
-    del small
-    rem += rem > 1  # a prime q left over becomes q + 1; rem[0] = 0 zeroes index 0
+    # 1, or the one prime factor of n above sqrt(limit)
+    rem = np.floor_divide(np.arange(limit + 1, dtype=np.int32), small, out=small)
+    rem += rem > 1  # a prime q left over becomes q + 1
     sig *= rem
-    del rem
-    psi = sig.copy()
+    psi_col = np.empty(limit + 1, dtype=np.int64)
+    psi = psi_col.view(np.int32)[: limit + 1]
+    psi[:] = sig
     for p in primes:
         q, below, upto = p * p, p + 1, p * p + p + 1
         while q <= limit:
@@ -280,4 +284,12 @@ def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
             sig[q::q] //= below
             sig[q::q] *= upto
             q, below, upto = q * p, upto, upto * p + 1
-    return MultiplicativeSieve(limit, psi, sig)
+    for column in (psi_col, sigma_col):
+        # widen from the top half down: column[lo:hi] and narrow[lo:hi] share no bytes
+        narrow, hi = column.view(np.int32), limit + 1
+        while hi > 1:
+            lo = (hi + 1) // 2
+            column[lo:hi] = narrow[lo:hi]
+            hi = lo
+        column[0] = 0
+    return MultiplicativeSieve(limit, psi_col, sigma_col)

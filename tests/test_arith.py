@@ -346,6 +346,21 @@ def test_sieve_100k_matches_linear_sieve(sieve_100k, linear_reference):
     assert_matches_linear_sieve(sieve_100k, linear_reference)
 
 
+# the int32 halves widen into their int64 columns in runs that halve the
+# range each time, so limits at and around powers of two test every split
+WIDENING_EDGES = sorted({2**k + d - 1 for k in range(1, 20) for d in (-1, 0, 1)} - {0})
+
+
+def test_sieve_widens_exactly_around_powers_of_two(linear_reference):
+    for limit in WIDENING_EDGES:
+        sv = sieve_multiplicative(limit)
+        assert_matches_linear_sieve(sv, linear_reference)
+        for column in (sv.psi, sv.sigma):
+            assert column.dtype == np.int64 and column.flags.c_contiguous, limit
+            # a column that owns its data leaves no writable int32 view behind
+            assert not column.flags.writeable and column.base is None, limit
+
+
 @given(st.data())
 def test_sieve_entry_matches_single_values(data):
     limit = data.draw(st.integers(1, 20_000), label="limit")
@@ -371,18 +386,32 @@ def test_sieve_budget(within):
 
 def test_the_budget_fits_the_int32_scratch():
     assert MAX_SIEVE < 2**31, "the sieve's int32 scratch must hold every n <= MAX_SIEVE"
+    # Robin's bound holds from n = 3 (where it is 21.2) and increases from
+    # n = 4 on; sigma(1) = 1 and sigma(2) = 3, so its value at the cap bounds
+    # sigma(n), and psi(n) <= sigma(n), at every n <= MAX_SIEVE
+    loglog = math.log(math.log(MAX_SIEVE))
+    robin = math.exp(np.euler_gamma) * MAX_SIEVE * loglog + 0.6483 * MAX_SIEVE / loglog
+    assert robin < 2**31 - 1, (
+        "sigma(n) < e^gamma n ln ln n + 0.6483 n / ln ln n for n >= 3 (G. Robin, "
+        "J. Math. Pures Appl. 63 (1984) 187-213) must keep sigma in int32"
+    )
 
 
 def test_sieve_at_the_budget_matches_single_values(within):
-    # the int32 scratch holds its largest entries here: 9999991, the largest
-    # prime below the cap, 2^23, 3^14, and the last 1000 entries up to 2^7 * 5^7
+    # the int32 passes hold their largest entries here: 9999991, the largest
+    # prime below the cap, 2^23, 3^14, the last 1000 entries up to 2^7 * 5^7,
+    # the largest sigma (at 9979200) and the largest psi (at 9699690 = 19#)
     assert is_prime(9_999_991) and not any(map(is_prime, range(9_999_992, MAX_SIEVE)))
+    peaks = (9_979_200, 9_699_690)
     with within(5):
         sv = sieve_multiplicative(MAX_SIEVE)
-        for n in (9_999_991, 2**23, 3**14, *range(MAX_SIEVE - 999, MAX_SIEVE + 1)):
+        last = range(MAX_SIEVE - 999, MAX_SIEVE + 1)
+        for n in (9_999_991, 2**23, 3**14, *peaks, *last):
             f = factorize(n)
             assert sv.psi[n] == dedekind_psi(f), n
             assert sv.sigma[n] == sigma(f), n
+        assert sv.sigma.max() == sv.sigma[9_979_200] == 45_732_192
+        assert sv.psi.max() == sv.psi[9_699_690] == 34_836_480
 
 
 # refuses one entry over the budget in a fresh interpreter, then reports the
@@ -422,8 +451,9 @@ def test_bound_ordering(sieve_100k):
 
 
 def test_sieve_peak_memory():
-    # two int64 columns (psi, sigma), or sigma and two int32 scratch arrays;
-    # numpy is imported above, so its own start-up allocations are not counted
+    # the int32 passes run in the halves of two int64 columns (sigma, psi); the
+    # int32 arange of the one division is freed before the psi column is made;
+    # numpy is imported above, so its start-up allocations are not counted
     limit = 10**6
     tracemalloc.start()
     try:
