@@ -4,7 +4,7 @@ Dedekind psi and the sum-of-divisors function, evaluated exactly in
 integer arithmetic from a prime factorization. Dedekind psi gets two
 additional, independent evaluation routes (a divisor-pair sum over
 cylinder shapes and a square-free divisor sum) so the closed form can
-be cross-checked, plus a numpy prime-power sieve for whole ranges.
+be cross-checked, plus a numpy prime-power sieve for ranges and blocks.
 
 All values live in the signed 64-bit range; a result that would leave it
 raises OverflowError naming that value, as an input past the range does.
@@ -23,8 +23,9 @@ if TYPE_CHECKING:
 # Largest admissible input and output value. Results above this raise.
 WORD_BOUND = 2**63 - 1
 
-# At its peak the sieve holds two int64 columns of limit + 1 entries, whose
-# int32 halves its passes run in: about 160 MB at this cap.
+# sieve_multiplicative(limit) peaks at two int64 columns of limit + 1 entries,
+# about 160 MB at this cap. A sweep sieves fixed blocks, so the cap bounds
+# its work, not its memory.
 MAX_SIEVE = 10_000_000
 
 
@@ -241,13 +242,8 @@ class MultiplicativeSieve:
 def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
     """Batch values over [1, limit] from strided numpy passes over prime powers.
 
-    Each prime p <= sqrt(limit) scales every multiple of p by p + 1, and
-    multiplies p into a record of n's small-prime part at every multiple
-    of p^k. One division of n by that part leaves 1 or the one prime
-    factor above sqrt(limit) that an n <= limit can have, applied next.
-    Then each multiple of p^k takes the step from p^(k-1) to p^k. Every
-    pass runs in int32 on the halves of the two int64 result columns,
-    which are widened in place at the end. Each value on the way is at
+    One call of the sieve kernel on [0, limit + 1): at its peak it holds
+    two int64 columns of limit + 1 entries. Each value on the way is at
     most n or sigma(n), below 2**31 for n <= MAX_SIEVE by Robin's bound,
     so all arithmetic is exact: the arrays agree entrywise with the
     single-value functions, and psi == sigma exactly at square-free n.
@@ -255,41 +251,58 @@ def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
     """
     limit = _word(limit, "limit")  # a float raises TypeError
     _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
+    primes = list(filter(is_prime, range(2, isqrt(limit) + 1)))
+    return MultiplicativeSieve(limit, *_sieve_block(0, limit + 1, primes))
+
+
+def _sieve_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """psi and sigma at n in [lo, hi) as two int64 columns; n = 0 reads 0.
+
+    primes are those up to sqrt(limit), for a limit in [hi - 1, MAX_SIEVE].
+    Each one scales every multiple of p by p + 1, and multiplies p into a
+    record of n's small-prime part at every multiple of p^k. One division
+    of n by that part leaves 1 or the one prime factor above sqrt(limit)
+    that an n <= limit can have, applied next. Then each multiple of p^k
+    takes the step from p^(k-1) to p^k. Every pass starts at the block's
+    first multiple and runs in int32 on the halves of the two int64
+    result columns, which are widened in place at the end.
+    """
     import numpy as np  # loaded here, so paths without a sieve never import it
 
-    primes = list(filter(is_prime, range(2, isqrt(limit) + 1)))
+    size = hi - lo
     # each value below is at most n or sigma(n) < 2**31, so int32 holds it
-    sigma_col = np.empty(limit + 1, dtype=np.int64)
-    sig, small = sigma_col.view(np.int32).reshape(2, limit + 1)
+    sigma_col = np.empty(size, dtype=np.int64)
+    sig, small = sigma_col.view(np.int32).reshape(2, size)
     sig.fill(1)
     small.fill(1)  # small[n]: the p^k parts of n with p <= sqrt(limit)
     for p in primes:
-        sig[p::p] *= p + 1  # the square-free factor that psi and sigma share
+        sig[-lo % p :: p] *= p + 1  # the square-free factor that psi and sigma share
         q = p
-        while q <= limit:
-            small[q::q] *= p
+        while q < hi:
+            small[-lo % q :: q] *= p
             q *= p
-    # 1, or the one prime factor of n above sqrt(limit)
-    rem = np.floor_divide(np.arange(limit + 1, dtype=np.int32), small, out=small)
+    # 1, or the one prime factor of n above sqrt(limit); 0 at n = 0
+    rem = np.floor_divide(np.arange(lo, hi, dtype=np.int32), small, out=small)
     rem += rem > 1  # a prime q left over becomes q + 1
     sig *= rem
-    psi_col = np.empty(limit + 1, dtype=np.int64)
-    psi = psi_col.view(np.int32)[: limit + 1]
+    psi_col = np.empty(size, dtype=np.int64)
+    psi = psi_col.view(np.int32)[:size]
     psi[:] = sig
     for p in primes:
         q, below, upto = p * p, p + 1, p * p + p + 1
-        while q <= limit:
+        while q < hi:
             # on multiples of p^k: sigma's p-factor 1+..+p^(k-1) becomes 1+..+p^k
-            psi[q::q] *= p
-            sig[q::q] //= below
-            sig[q::q] *= upto
+            first = -lo % q
+            psi[first::q] *= p
+            sig[first::q] //= below
+            sig[first::q] *= upto
             q, below, upto = q * p, upto, upto * p + 1
     for column in (psi_col, sigma_col):
-        # widen from the top half down: column[lo:hi] and narrow[lo:hi] share no bytes
-        narrow, hi = column.view(np.int32), limit + 1
-        while hi > 1:
-            lo = (hi + 1) // 2
-            column[lo:hi] = narrow[lo:hi]
-            hi = lo
-        column[0] = 0
-    return MultiplicativeSieve(limit, psi_col, sigma_col)
+        # widen from the top half down: column[mid:top], narrow[mid:top] share no bytes
+        narrow, top = column.view(np.int32), size
+        while top > 1:
+            mid = (top + 1) // 2
+            column[mid:top] = narrow[mid:top]
+            top = mid
+        column[0] = narrow[0]
+    return psi_col, sigma_col

@@ -20,6 +20,7 @@ from .arith import (
     MultiplicativeSieve,
     PrimeFactorization,
     _budget,
+    _sieve_block,
     _word,
     dedekind_psi,
     factorize,
@@ -120,24 +121,42 @@ def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepR
     return SweepRecord(limit, row.psi, row.sigma, row.value, cum_psi, cum_sigma, ratio)
 
 
+# Rows per sieved block of a sweep. A sweep holds one block at a time, two
+# int64 columns of 2**16 entries (1 MB), whatever its length.
+_BLOCK = 2**16
+
+
 def sweep_stream(limit: int) -> Iterator[tuple]:
-    """All census rows 1..limit in order, from one sieve pass.
+    """All census rows 1..limit in order, sieved in blocks of _BLOCK rows.
 
     Each row is a plain tuple in SweepRecord field order, of exact Python
-    ints and floats; the last one equals partial_sums(limit).
+    ints and floats; the last one equals partial_sums(limit). The first
+    block is sieved at the call, so a bad limit, the budget and its failed
+    allocation are refused before the first row. Each later block is
+    sieved when its first row is asked for, after the one before is freed.
     """
-    sv = sieve_multiplicative(limit)  # refuses at the call, before the first row
+    limit = _word(limit, "limit")
+    _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
+    block = _BLOCK
+    sv = sieve_multiplicative(min(limit, block))
 
-    def generate() -> Iterator[tuple]:
+    def generate(lo, psi, sig) -> Iterator[tuple]:
+        # the block comes in as arguments: a closure over sv would keep it alive
         cum_psi = cum_sigma = 0
-        # a memoryview hands out one Python int per int64 entry and buffers none
-        psi, sig = memoryview(sv.psi)[1:], memoryview(sv.sigma)[1:]
-        for n, p, s in zip(count(1), psi, sig):
-            cum_psi += p
-            cum_sigma += s
-            yield n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma
+        primes = list(filter(is_prime, range(2, math.isqrt(limit) + 1)))
+        while True:
+            # a memoryview hands out one Python int per int64 entry and buffers none
+            for n, p, s in zip(count(lo), memoryview(psi), memoryview(sig)):
+                cum_psi += p
+                cum_sigma += s
+                yield n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma
+            lo += len(psi)
+            del psi, sig  # freed before the next block is sieved
+            if lo > limit:
+                return
+            psi, sig = _sieve_block(lo, min(lo + block, limit + 1), primes)
 
-    return generate()
+    return generate(1, sv.psi[1:], sv.sigma[1:])
 
 
 def qd2_partial_sum(limit: int, sieve: MultiplicativeSieve | None = None) -> float:

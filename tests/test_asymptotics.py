@@ -17,9 +17,11 @@ from oracles import (
     brute_sigma,
     divisor_sum_psi,
     divisor_sum_sigma,
+    linear_sieve,
     squarefree_mask,
     zeta_series,
 )
+from squaretori import asymptotics
 from squaretori.arith import (
     MAX_SIEVE,
     BudgetError,
@@ -331,8 +333,8 @@ def test_sweep_stream_matches_partial_sums():
 
 # limits on and around powers of two, where a row generator that reads the
 # sieve in blocks would turn one over; 65536 is an edge for every block size
-# up to 2**16
-BLOCK_EDGES = (8191, 8192, 8193, 16385, 65535, 65536, 65537, 131073)
+# up to 2**16, and 196609 = 3 * 2**16 + 1 opens a fourth block of 2**16
+BLOCK_EDGES = (8191, 8192, 8193, 16385, 65535, 65536, 65537, 131073, 196609)
 
 
 @pytest.mark.parametrize("limit", BLOCK_EDGES)
@@ -350,6 +352,35 @@ def test_sweep_stream_across_block_edges(limit):
     for n in {*BLOCK_EDGES, 65538, limit}:
         if n <= limit:
             assert records[n - 1] == partial_sums(n)
+
+
+# limits around squares of primes (961 = 31^2, 2401 = 7^4) and powers of two,
+# where a block's first multiple of p^k or the primes up to sqrt(limit) change
+OFFSET_LIMITS = (1, 2, 3, 4, 63, 64, 65, 960, 961, 962, 2047, 2048, 2049, 2401, 2999)
+
+
+@pytest.fixture(scope="module")
+def oracle_rows():
+    psi, sig, _, _ = linear_sieve(max(OFFSET_LIMITS))
+    rows = []
+    cum_psi = cum_sigma = 0
+    for n in range(1, len(psi)):
+        p, s = int(psi[n]), int(sig[n])
+        cum_psi += p
+        cum_sigma += s
+        rows.append((n, p, s, p / s, cum_psi, cum_sigma, cum_psi / cum_sigma))
+    return rows
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64, 997])
+def test_every_block_offset_matches_the_linear_sieve(monkeypatch, oracle_rows, block):
+    # read at each call: blocks this small put every offset of every prime
+    # power against some block's start
+    monkeypatch.setattr(asymptotics, "_BLOCK", block)
+    for limit in OFFSET_LIMITS:
+        records = list(sweep_stream(limit))
+        assert records == oracle_rows[:limit], (block, limit)
+        assert records[-1] == partial_sums(limit)
 
 
 @pytest.mark.parametrize("limit", [1, 8193, 131073])

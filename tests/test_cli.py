@@ -439,6 +439,27 @@ def test_row_buffers_stay_flat_in_n():
     assert abs(peaks[1] - peaks[0]) <= 0.25, peaks
 
 
+def test_a_sweep_of_many_blocks_stays_flat_in_n():
+    # a sweep's whole life, its sieve included: one block of 2**16 entries,
+    # one json chunk of lines and one row, however many blocks it takes
+    list(asymptotics.sweep_stream(1))  # loads numpy outside the measured region
+    sizes = (3 * 2**16 + 1, 6 * 2**16 + 1)
+    peaks = []
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            for n in sizes:
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                cli._emit(sink, "json", cli._SWEEP, asymptotics.sweep_stream(n))
+                _, peak = tracemalloc.get_traced_memory()
+                peaks.append((peak - before) / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 3.0, peaks
+    assert abs(peaks[1] - peaks[0]) <= 0.25, peaks
+
+
 # --- numpy is loaded only by the sieve ---------------------------------------
 
 # runs one command in a fresh interpreter, then reports on stderr whether
@@ -542,6 +563,28 @@ def test_failed_allocation_exit(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "sweep", "10")
     assert code == 1 and out == ""
     assert err == "error: Unable to allocate 7.28 PiB for an array\n"
+
+
+def test_a_failure_in_a_later_block_is_reported(capsys, monkeypatch):
+    # only the first block is sieved before any row; a later one that fails
+    # ends the rows already written with an error, and no footer
+    sieve = asymptotics._sieve_block
+
+    def refuse_later_blocks(lo, hi, primes):
+        if lo > 1:
+            raise MemoryError("Unable to allocate 512. KiB for an array")
+        return sieve(lo, hi, primes)
+
+    monkeypatch.setattr(asymptotics, "_sieve_block", refuse_later_blocks)
+    code, out, err = run_cli(capsys, "sweep", "65537")
+    assert code == 1
+    assert err == "error: Unable to allocate 512. KiB for an array\n"
+    header, template = SWEEP_LAYOUT["plain"]
+    head, *rows = out.splitlines(keepends=True)
+    assert head == header and rows and out.endswith("\n")
+    last = int(rows[-1].split()[0])
+    assert rows[-1] == template % asymptotics.partial_sums(last)
+    assert all(row.count(" ") == 6 for row in rows)  # no footer, no cut line
 
 
 SWEEP_REFUSALS = {
