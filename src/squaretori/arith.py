@@ -24,8 +24,8 @@ if TYPE_CHECKING:
 WORD_BOUND = 2**63 - 1
 
 # sieve_multiplicative(limit) peaks at two int64 columns of limit + 1 entries,
-# about 160 MB at this cap. A sweep sieves fixed blocks, so the cap bounds
-# its work, not its memory.
+# about 160 MB at this cap. A sweep sieves fixed blocks, so the cap bounds its
+# work, not its memory. qd2_partial_sum holds a 1-byte mask per entry: 10 MB.
 MAX_SIEVE = 10_000_000
 
 

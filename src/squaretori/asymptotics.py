@@ -121,8 +121,8 @@ def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepR
     return SweepRecord(limit, row.psi, row.sigma, row.value, cum_psi, cum_sigma, ratio)
 
 
-# Rows per sieved block of a sweep. A sweep holds one block at a time, two
-# int64 columns of 2**16 entries (1 MB), whatever its length.
+# Rows per sieved block of a sweep, two int64 columns (1 MB), and terms per
+# float64 leaf of qd2_partial_sum (512 KB); each holds one at a time.
 _BLOCK = 2**16
 
 
@@ -159,10 +159,26 @@ def sweep_stream(limit: int) -> Iterator[tuple]:
     return generate(1, sv.psi[1:], sv.sigma[1:])
 
 
+def _qd2_sum(squarefree, lo: int, n: int) -> float:
+    """squarefree[d] / d^2 summed over d in [lo, lo + n); see qd2_partial_sum."""
+    if n > _BLOCK:  # numpy's own split of a pairwise float64 sum of n > 128 terms
+        h = n // 2 - (n // 2) % 8
+        return _qd2_sum(squarefree, lo, h) + _qd2_sum(squarefree, lo + h, n - h)
+    import numpy as np
+
+    d = np.arange(lo, lo + n, dtype=np.float64)
+    d *= d
+    return float(np.divide(squarefree[lo : lo + n], d, out=d).sum())  # in d's buffer
+
+
 def qd2_partial_sum(limit: int, sieve: MultiplicativeSieve | None = None) -> float:
     """Partial sum of 1/d^2 over square-free d <= limit; `sieve` is ignored.
 
     Converges to zeta(2)/zeta(4) = 15/pi^2, with an omitted tail below 1/limit.
+    Holds a 1-byte mask per d and one float64 leaf of _BLOCK terms: numpy sums
+    n > 128 float64 terms as its first h = n//2 - (n//2) % 8 plus the rest, so
+    leaves split there match its one-array sum bit for bit. A closure in place
+    of _qd2_sum would keep its masks alive in a reference cycle until gc ran.
     """
     limit = _word(limit, "limit")
     _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
@@ -171,8 +187,4 @@ def qd2_partial_sum(limit: int, sieve: MultiplicativeSieve | None = None) -> flo
     squarefree = np.ones(limit + 1, dtype=bool)
     for p in filter(is_prime, range(2, math.isqrt(limit) + 1)):
         squarefree[p * p :: p * p] = False
-    d = np.arange(limit + 1, dtype=np.float64)
-    d[0] = 1.0  # avoid 0/0; index 0 is padding and excluded below
-    d *= d
-    np.divide(squarefree, d, out=d)  # the quotient reuses d's buffer
-    return float(d[1:].sum())
+    return _qd2_sum(squarefree, 1, limit)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -441,9 +442,9 @@ def qd2_reference(limit):
     return float(terms[1:].sum())
 
 
-def test_qd2_extra_peak_memory():
-    # one float64 array of limit + 1 entries plus the bool square-free mask
-    limit = 10**6
+@pytest.mark.parametrize("limit", [10**6, 10**7])
+def test_qd2_extra_peak_memory(limit):
+    # the bool square-free mask plus one float64 leaf of _BLOCK terms
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -452,12 +453,56 @@ def test_qd2_extra_peak_memory():
     finally:
         tracemalloc.stop()
     extra = peak - before
-    assert extra <= 1.25 * 8 * (limit + 1), extra / (8 * (limit + 1))
+    bound = 1.25 * ((limit + 1) + 8 * asymptotics._BLOCK)
+    assert extra <= bound, extra / bound
 
 
-@pytest.mark.parametrize("limit", [1, 2, 10, 999, 65537, 10**6])
+def test_qd2_retains_nothing_without_the_cyclic_collector():
+    # a self-calling closure would keep its masks in a reference cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(3):
+            qd2_partial_sum(10**6)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert after - before <= 64 * 1024, after - before
+
+
+# past 2**16 the sum is split into leaves; at 65546 and 99999 a split at n//2,
+# a few terms off numpy's own, already changes the last bit
+@pytest.mark.parametrize(
+    "limit",
+    [1, 2, 10, 999, 65536, 65537, 65546, 99999, 131072, 131073, 299999]
+    + [10**6, 1003456, 2**20 + 3],
+)
 def test_qd2_is_bit_identical_to_the_reference(limit):
     assert qd2_partial_sum(limit) == qd2_reference(limit)
+
+
+def test_qd2_values_are_pinned():
+    # the whole-array reference at 10**7 would build about 240 MB
+    assert qd2_partial_sum(10**6).hex() == "0x1.8512bc8d015ecp+0"
+    assert qd2_partial_sum(10**7).hex() == "0x1.8512c5baef8b4p+0"
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 1, 2**17, 2**17 + 3, 10**6, 10**6 + 5])
+def test_numpy_sums_float64_along_its_pairwise_split(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    h = n // 2 - (n // 2) % 8
+    assert a.sum() == a[:h].sum() + a[h:].sum(), (
+        "numpy's float64 sum no longer splits at n//2 - (n//2) % 8; "
+        "qd2_partial_sum's grouping relies on numpy's pairwise split"
+    )
+    # the data is fine enough that moving the split can change the sum
+    moved = [a[: h + k].sum() + a[h + k :].sum() for k in (-64, -8, 8, 64)]
+    assert any(a.sum() != other for other in moved)
 
 
 def test_partial_sums_domain(sieve_100k):
