@@ -249,16 +249,21 @@ def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
     single-value functions, and psi == sigma exactly at square-free n.
     Deterministic; raises BudgetError when limit > MAX_SIEVE.
     """
+    limit, primes = _sieve_domain(limit)
+    return MultiplicativeSieve(limit, *_sieve_block(0, limit + 1, primes))
+
+
+def _sieve_domain(limit: int) -> tuple[int, list[int]]:
+    """limit as a word within MAX_SIEVE, then the primes up to sqrt(limit)."""
     limit = _word(limit, "limit")  # a float raises TypeError
     _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
-    primes = list(filter(is_prime, range(2, isqrt(limit) + 1)))
-    return MultiplicativeSieve(limit, *_sieve_block(0, limit + 1, primes))
+    return limit, list(filter(is_prime, range(2, isqrt(limit) + 1)))
 
 
 def _sieve_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """psi and sigma at n in [lo, hi) as two int64 columns; n = 0 reads 0.
 
-    primes are those up to sqrt(limit), for a limit in [hi - 1, MAX_SIEVE].
+    primes come from _sieve_domain(limit), for a limit >= hi - 1.
     Each one scales every multiple of p by p + 1, and multiplies p into a
     record of n's small-prime part at every multiple of p^k. One division
     of n by that part leaves 1 or the one prime factor above sqrt(limit)

@@ -16,11 +16,10 @@ from itertools import count, islice
 from typing import Iterator, NamedTuple
 
 from .arith import (
-    MAX_SIEVE,
     MultiplicativeSieve,
     PrimeFactorization,
-    _budget,
     _sieve_block,
+    _sieve_domain,
     _word,
     dedekind_psi,
     factorize,
@@ -57,7 +56,7 @@ def rho(f: PrimeFactorization) -> RatioValue:
     return RatioValue(dedekind_psi(f), sigma(f))
 
 
-_PRIMES = tuple(islice(filter(is_prime, count(2)), 50))  # the first 50 primes
+_PRIMES = tuple(islice(filter(is_prime, count(2)), 50))  # bounds the extremal k
 
 
 def extremal_sequence_rho(k: int) -> float:
@@ -68,8 +67,8 @@ def extremal_sequence_rho(k: int) -> float:
     the ratio is the Euler product of (1 - p^-2) / (1 - p^-(k+1)). Once
     p^(k+1) passes 2^54 the divisor rounds to exactly 1.0.
     """
-    if (k := _word(k, "k")) > 50:  # a float raises TypeError, k < 1 ValueError
-        raise ValueError(f"k must be in [1, 50], got {k}")
+    if (k := _word(k, "k")) > len(_PRIMES):  # floats raise TypeError, k < 1 ValueError
+        raise ValueError(f"k must be in [1, {len(_PRIMES)}], got {k}")
     value = 1.0
     for p in _PRIMES[:k]:
         value *= 1.0 - 1.0 / (p * p)
@@ -106,12 +105,10 @@ def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepR
     As psi's Dirichlet series is zeta(s)zeta(s-1)/zeta(2s), cum_psi sums
     mu(d) * cum_sigma(limit // d^2) over d <= sqrt(limit). `sieve` is ignored.
     """
-    limit = _word(limit, "limit")
-    # the sieve's domain, until a command of its own widens it
-    _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
+    limit, primes = _sieve_domain(limit)  # until a command of its own widens it
     r = math.isqrt(limit)
     mu = [0] + [1] * r  # mu[d] for d <= r; index 0 is padding
-    for p in filter(is_prime, range(2, r + 1)):
+    for p in primes:
         mu[p::p] = [-m for m in mu[p::p]]
         mu[p * p :: p * p] = [0] * (r // (p * p))
     cum_psi = sum(m * _sigma_sum(limit // (d * d)) for d, m in enumerate(mu) if m)
@@ -135,15 +132,13 @@ def sweep_stream(limit: int) -> Iterator[tuple]:
     allocation are refused before the first row. Each later block is
     sieved when its first row is asked for, after the one before is freed.
     """
-    limit = _word(limit, "limit")
-    _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
+    limit, primes = _sieve_domain(limit)
     block = _BLOCK
     sv = sieve_multiplicative(min(limit, block))
 
     def generate(lo, psi, sig) -> Iterator[tuple]:
         # the block comes in as arguments: a closure over sv would keep it alive
         cum_psi = cum_sigma = 0
-        primes = list(filter(is_prime, range(2, math.isqrt(limit) + 1)))
         while True:
             # a memoryview hands out one Python int per int64 entry and buffers none
             for n, p, s in zip(count(lo), memoryview(psi), memoryview(sig)):
@@ -180,11 +175,10 @@ def qd2_partial_sum(limit: int, sieve: MultiplicativeSieve | None = None) -> flo
     leaves split there match its one-array sum bit for bit. A closure in place
     of _qd2_sum would keep its masks alive in a reference cycle until gc ran.
     """
-    limit = _word(limit, "limit")
-    _budget(limit, MAX_SIEVE, "MAX_SIEVE", "a sieve of %s entries")
+    limit, primes = _sieve_domain(limit)
     import numpy as np
 
     squarefree = np.ones(limit + 1, dtype=bool)
-    for p in filter(is_prime, range(2, math.isqrt(limit) + 1)):
+    for p in primes:
         squarefree[p * p :: p * p] = False
     return _qd2_sum(squarefree, 1, limit)

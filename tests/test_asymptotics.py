@@ -27,6 +27,7 @@ from squaretori.arith import (
     MAX_SIEVE,
     BudgetError,
     MultiplicativeSieve,
+    _sieve_domain,
     factorize,
     sieve_multiplicative,
 )
@@ -562,7 +563,7 @@ def test_sizes_must_be_integers(call, sieve_100k):
         call(sieve_100k)
 
 
-# each refused by sieve_multiplicative inside the call, before a generator exists
+# each refused by _sieve_domain inside the call, before a generator exists
 STREAM_REFUSALS = {
     "float": (3.5, TypeError, NOT_AN_INTEGER),
     "zero": (0, ValueError, "limit must be >= 1, got 0"),
@@ -577,3 +578,32 @@ STREAM_REFUSALS = {
 def test_sweep_stream_refuses_at_the_call(limit, refusal, message):
     with pytest.raises(refusal, match=re.escape(message)):
         sweep_stream(limit)  # never iterated: the refusal comes before any row
+
+
+# both sides of the squares of 2, 31, 1000 and 3162, and the top of the domain
+SQUARE_EDGES = sorted({k * k + e for k in (2, 31, 1000, 3162) for e in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("limit", [*SQUARE_EDGES, MAX_SIEVE])
+def test_the_sieve_domain_lists_the_primes_up_to_the_root(limit):
+    primes = list(filter(brute_is_prime, range(2, math.isqrt(limit) + 1)))
+    assert _sieve_domain(limit) == (limit, primes)
+
+
+SIEVE_SIZED = {
+    "sieve_multiplicative": sieve_multiplicative,
+    "partial_sums": partial_sums,
+    "sweep_stream": sweep_stream,
+    "qd2_partial_sum": qd2_partial_sum,
+}
+
+
+@pytest.mark.parametrize("limit", [0, 2.5, 2**63, MAX_SIEVE + 1])
+@pytest.mark.parametrize("entry", SIEVE_SIZED.values(), ids=SIEVE_SIZED.keys())
+def test_every_sieve_sized_entry_refuses_as_the_shared_domain(entry, limit):
+    with pytest.raises(Exception) as shared:
+        _sieve_domain(limit)
+    with pytest.raises(Exception) as refused:
+        entry(limit)  # a sweep is never iterated: the refusal comes at the call
+    assert type(refused.value) is type(shared.value)
+    assert str(refused.value) == str(shared.value)

@@ -435,15 +435,16 @@ def test_row_buffers_stay_flat_in_n():
                 peaks.append((peak - before) / 2**20)
         finally:
             tracemalloc.stop()
-    assert max(peaks) <= 3.0, peaks
+    assert max(peaks) <= 2.0, peaks
     assert abs(peaks[1] - peaks[0]) <= 0.25, peaks
 
 
-def test_a_sweep_of_many_blocks_stays_flat_in_n():
-    # a sweep's whole life, its sieve included: one block of 2**16 entries,
-    # one json chunk of lines and one row, however many blocks it takes
+def test_a_sweep_of_many_blocks_stays_flat_in_n(monkeypatch):
+    # a sweep's whole life, its sieve included: one block of 2**13 entries
+    # (128 KB), one json chunk of lines and one row, however many blocks it takes
+    monkeypatch.setattr(asymptotics, "_BLOCK", 2**13)
     list(asymptotics.sweep_stream(1))  # loads numpy outside the measured region
-    sizes = (3 * 2**16 + 1, 6 * 2**16 + 1)
+    sizes = (3 * 2**13 + 1, 6 * 2**13 + 1)
     peaks = []
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
@@ -456,7 +457,7 @@ def test_a_sweep_of_many_blocks_stays_flat_in_n():
                 peaks.append((peak - before) / 2**20)
         finally:
             tracemalloc.stop()
-    assert max(peaks) <= 3.0, peaks
+    assert max(peaks) <= 2.0, peaks
     assert abs(peaks[1] - peaks[0]) <= 0.25, peaks
 
 

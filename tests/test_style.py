@@ -248,16 +248,30 @@ def test_only_the_64_bit_checks_raise_overflow():
     assert found == WORD_CHECKS
 
 
+def budget_calls(tree):
+    """Each _budget(...) call, bare or as an attribute."""
+    return [
+        call
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_budget"
+    ]
+
+
+def call_argument(call, position, keyword):
+    """A call's argument by position or keyword, as source text; [] if absent."""
+    found = call.args[position : position + 1]
+    found += [k.value for k in call.keywords if k.arg == keyword]
+    return [ast.unparse(argument) for argument in found]
+
+
 def budget_arguments(tree):
     """The budget argument of each _budget(...) call, as source text."""
-    found = []
-    for call in ast.walk(tree):
-        if not isinstance(call, ast.Call):
-            continue
-        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_budget":
-            keyword = [k.value for k in call.keywords if k.arg == "budget"]
-            found.extend(ast.unparse(budget) for budget in call.args[1:2] + keyword)
-    return found
+    return [
+        budget
+        for call in budget_calls(tree)
+        for budget in call_argument(call, 1, "budget")
+    ]
 
 
 def test_budget_arguments_sees_positional_keyword_and_attribute_calls():
@@ -276,6 +290,39 @@ def test_every_budget_is_a_module_constant():
     found = [budget for tree in trees for budget in budget_arguments(tree)]
     assert set(found) == {"MAX_SIEVE", "MAX_TRIPLES"}
     assert set(found) <= constants
+
+
+def budget_requests(tree):
+    """(budget, message template) of each _budget(...) call, as source text."""
+    return [
+        (*call_argument(call, 1, "budget"), *call_argument(call, 3, "what"))
+        for call in budget_calls(tree)
+    ]
+
+
+def test_budget_requests_pairs_each_budget_with_its_message():
+    tree = ast.parse(
+        "_budget(n, MAX_X, 'MAX_X', 'a %s')\n"
+        "def f(b):\n    arith._budget(1, budget=b, name='b', what=f'{b} %s')\n"
+        "_budget(m, MAX_X, 'MAX_X', what='a %s')\n"
+    )
+    assert budget_requests(tree) == [
+        ("MAX_X", "'a %s'"),
+        ("MAX_X", "'a %s'"),
+        ("b", "f'{b} %s'"),
+    ]
+
+
+def test_each_budget_request_is_written_once():
+    """No two _budget calls share a budget and a message: a domain that several
+    entry points share is checked by one helper."""
+    found = [
+        request
+        for path in sorted(SOURCE.glob("*.py"))
+        for request in budget_requests(ast.parse(path.read_text()))
+    ]
+    repeated = sorted({request for request in found if found.count(request) > 1})
+    assert not repeated, repeated
 
 
 def readme_global_flags(text):
