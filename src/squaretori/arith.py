@@ -227,11 +227,10 @@ def psi_prime(n: int) -> int:
 class MultiplicativeSieve:
     """Batch values psi[n] and sigma[n] for n <= limit, as read-only int64 arrays.
 
-    Index 0 is zero padding, so array[n] is the value at n; n >= 1 is
-    square-free exactly where psi[n] == sigma[n].
+    Index 0 is zero padding, so array[n] is the value at n and the limit is
+    len(psi) - 1; n >= 1 is square-free exactly where psi[n] == sigma[n].
     """
 
-    limit: int
     psi: np.ndarray
     sigma: np.ndarray
 
@@ -250,7 +249,7 @@ def sieve_multiplicative(limit: int) -> MultiplicativeSieve:
     Deterministic; raises BudgetError when limit > MAX_SIEVE.
     """
     limit, primes = _sieve_domain(limit)
-    return MultiplicativeSieve(limit, *_sieve_block(0, limit + 1, primes))
+    return MultiplicativeSieve(*_sieve_block(0, limit + 1, primes))
 
 
 def _sieve_domain(limit: int) -> tuple[int, list[int]]:

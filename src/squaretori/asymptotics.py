@@ -22,7 +22,6 @@ from .arith import (
     _sieve_domain,
     _word,
     dedekind_psi,
-    factorize,
     is_prime,
     sieve_multiplicative,
     sigma,
@@ -76,13 +75,9 @@ def extremal_sequence_rho(k: int) -> float:
     return value
 
 
-class SweepRecord(NamedTuple):
-    """Census row at n: exact counts, their ratio, and running totals."""
+class MeanOrderSums(NamedTuple):
+    """psi and sigma summed exactly over 1..limit, and their ratio."""
 
-    n: int
-    psi: int
-    sigma: int
-    rho: float
     cum_psi: int
     cum_sigma: int
     cum_ratio: float
@@ -98,8 +93,8 @@ def _sigma_sum(x: int) -> int:
     return total
 
 
-def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepRecord:
-    """Final census row at `limit` from exact integer cumulative sums.
+def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> MeanOrderSums:
+    """psi and sigma summed exactly over 1..limit, and their ratio.
 
     cum_psi/cum_sigma converges to 1/zeta(4) with an O(log(limit)/limit) error.
     As psi's Dirichlet series is zeta(s)zeta(s-1)/zeta(2s), cum_psi sums
@@ -113,9 +108,7 @@ def partial_sums(limit: int, sieve: MultiplicativeSieve | None = None) -> SweepR
         mu[p * p :: p * p] = [0] * (r // (p * p))
     cum_psi = sum(m * _sigma_sum(limit // (d * d)) for d, m in enumerate(mu) if m)
     cum_sigma = _sigma_sum(limit)
-    row = rho(factorize(limit))
-    ratio = cum_psi / cum_sigma
-    return SweepRecord(limit, row.psi, row.sigma, row.value, cum_psi, cum_sigma, ratio)
+    return MeanOrderSums(cum_psi, cum_sigma, cum_psi / cum_sigma)
 
 
 # Rows per sieved block of a sweep, two int64 columns (1 MB), and terms per
@@ -126,11 +119,12 @@ _BLOCK = 2**16
 def sweep_stream(limit: int) -> Iterator[tuple]:
     """All census rows 1..limit in order, sieved in blocks of _BLOCK rows.
 
-    Each row is a plain tuple in SweepRecord field order, of exact Python
-    ints and floats; the last one equals partial_sums(limit). The first
-    block is sieved at the call, so a bad limit, the budget and its failed
-    allocation are refused before the first row. Each later block is
-    sieved when its first row is asked for, after the one before is freed.
+    Each row is a plain tuple (n, psi, sigma, rho, cum_psi, cum_sigma,
+    cum_ratio) of exact Python ints and floats, and row[4:] equals
+    partial_sums(n). The first block is sieved at the call, so a bad limit,
+    the budget and its failed allocation are refused before the first row.
+    Each later block is sieved when its first row is asked for, after the
+    one before is freed.
     """
     limit, primes = _sieve_domain(limit)
     block = _BLOCK

@@ -99,7 +99,7 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> None:
 
 def _cmd_extremal(args: argparse.Namespace, out: IO[str]) -> None:
     rho = asymptotics.extremal_sequence_rho
-    last = rho(args.kmax)  # refuses a kmax outside [1, 50] before any other work
+    last = rho(args.kmax)  # refuses a kmax out of its range before any other work
     values = [rho(k) for k in range(1, args.kmax)] + [last]
     inv_z2 = asymptotics.INV_ZETA2
     rows = [(k, v, v - inv_z2) for k, v in enumerate(values, 1)]

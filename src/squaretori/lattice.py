@@ -28,8 +28,9 @@ MAX_TRIPLES = 10_000_000
 class GeneratorPair:
     """Two integer vectors spanning a finite-index sublattice of Z^2.
 
-    Coordinates and the index must lie in the signed 64-bit range
-    (OverflowError otherwise); linearly dependent vectors raise ValueError.
+    Each coordinate and the index need an absolute value <= 2**63 - 1, so a
+    coordinate -2**63 is refused (OverflowError); linearly dependent vectors
+    raise ValueError.
     """
 
     u: tuple[int, int]

@@ -307,7 +307,7 @@ def test_sieve_first_ten():
 
 def test_sieve_matches_single_values(sieve_100k):
     sv = sieve_100k
-    for n in range(1, sv.limit + 1):
+    for n in range(1, len(sv.psi)):
         f = factorize(n)
         assert sv.psi[n] == dedekind_psi(f), n
         assert sv.sigma[n] == sigma(f), n
@@ -318,10 +318,10 @@ def assert_matches_linear_sieve(sv, reference):
     psi, sig, _phi, sqf = reference  # the sieve keeps no phi column
     for got, want in zip((sv.psi, sv.sigma), (psi, sig)):
         assert got.dtype == want.dtype
-        assert np.array_equal(got, want[: sv.limit + 1]), sv.limit
+        assert np.array_equal(got, want[: len(sv.psi)]), len(sv.psi) - 1
     # square-free is read off the sieve as psi == sigma
     equal = sv.psi[1:] == sv.sigma[1:]
-    assert np.array_equal(equal, sqf[1 : sv.limit + 1] == 1), sv.limit
+    assert np.array_equal(equal, sqf[1 : len(sv.psi)] == 1), len(sv.psi) - 1
 
 
 def test_sieve_matches_linear_sieve_small_limits():
@@ -443,11 +443,11 @@ def test_the_sieve_budget_is_refused_before_numpy_loads(src_env):
 
 def test_bound_ordering(sieve_100k):
     sv = sieve_100k
-    n = np.arange(sv.limit + 1, dtype=np.int64)
+    n = np.arange(len(sv.psi), dtype=np.int64)
     assert (n[1:] <= sv.psi[1:]).all()
     assert (sv.psi[1:] <= sv.sigma[1:]).all()
     equal = sv.psi[1:] == sv.sigma[1:]
-    assert (equal == squarefree_mask(sv.limit)[1:]).all()
+    assert (equal == squarefree_mask(len(sv.psi) - 1)[1:]).all()
 
 
 def test_sieve_peak_memory():

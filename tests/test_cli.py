@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from squaretori import asymptotics, cli
+from squaretori import arith, asymptotics, cli
 from squaretori.cli import main
 
 
@@ -19,6 +19,12 @@ def run_cli(capsys, *argv):
 
 def parse_plain(line):
     return dict(item.split("=", 1) for item in line.split())
+
+
+def census_row(n):
+    """The sweep's row at n: psi, sigma and rho from n's factors, then partial_sums(n)."""
+    r = asymptotics.rho(arith.factorize(n))
+    return (n, r.psi, r.sigma, r.value, *asymptotics.partial_sums(n))
 
 
 # --- goldens ---------------------------------------------------------------
@@ -407,7 +413,7 @@ FOOTER_EDGES = sorted({
 def test_the_footer_is_the_sum_routes_ratio(capsys, fmt):
     # the footer takes the last streamed row's cum_ratio; partial_sums sums
     # the sieve's columns on its own, and the last row and the footer must
-    # both print its record
+    # both print its sums
     template = SWEEP_LAYOUT[fmt][1]
     for n in FOOTER_EDGES:
         code, out, err = run_cli(capsys, "--format", fmt, "sweep", str(n))
@@ -415,7 +421,7 @@ def test_the_footer_is_the_sum_routes_ratio(capsys, fmt):
         *_, last, footer = out.splitlines(keepends=True)
         record = asymptotics.partial_sums(n)
         deviation = abs(record.cum_ratio - asymptotics.INV_ZETA4)
-        assert last == template % record
+        assert last == template % census_row(n)
         assert footer == cli._SWEEP_FOOTER[fmt] % (record.cum_ratio, deviation)
 
 
@@ -584,7 +590,7 @@ def test_a_failure_in_a_later_block_is_reported(capsys, monkeypatch):
     head, *rows = out.splitlines(keepends=True)
     assert head == header and rows and out.endswith("\n")
     last = int(rows[-1].split()[0])
-    assert rows[-1] == template % asymptotics.partial_sums(last)
+    assert rows[-1] == template % census_row(last)
     assert all(row.count(" ") == 6 for row in rows)  # no footer, no cut line
 
 

@@ -130,7 +130,7 @@ NO_INTEGER = {
     "to_permutation_pair": "an HnfLattice",
     "permutation_pair_json": "an HnfLattice",
     "MultiplicativeSieve": "sieve_multiplicative's output; no function reads one",
-    "SweepRecord": "an output row; no function takes one back",
+    "MeanOrderSums": "an output record; no function takes one back",
 }
 
 

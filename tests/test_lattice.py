@@ -80,6 +80,17 @@ def test_generators_outside_64_bits_overflow():
     with pytest.raises(OverflowError):
         GeneratorPair((2**63, 1), (2**63 + 1, 1))  # index 1, coordinate 2^63
     assert lattice_index(GeneratorPair((2**62, 1), (2**62 + 1, 1))) == 1
+    # |coordinate| <= 2^63 - 1: -2^63 is refused in each place, at index 1
+    low = -(2**63)
+    for u, v in (
+        ((low, 1), (low + 1, 1)),
+        ((1, low), (1, low + 1)),
+        ((low + 1, 1), (low, 1)),
+        ((1, low + 1), (1, low)),
+    ):
+        with pytest.raises(OverflowError, match="generators leave the 64-bit range"):
+            GeneratorPair(u, v)
+    assert lattice_index(GeneratorPair((low + 1, 1), (low + 2, 1))) == 1
     assert lattice_index(GeneratorPair((2**31, 0), (0, 2**31 - 1))) == 2**62 - 2**31
 
 

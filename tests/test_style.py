@@ -69,6 +69,20 @@ def test_names_read_sees_loads_and_attributes():
     assert names_read(tree) == {"print", "m", "y"}
 
 
+def attributes_read(tree):
+    """Names a module reads as an attribute, x.name; a bare name is no such read."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_attributes_read_sees_only_attribute_loads():
+    tree = ast.parse("limit = 3\nprint(limit, m.y.z)\nm.w = 1\n")
+    assert attributes_read(tree) == {"y", "z"}
+
+
 def top_level_names(tree):
     """Top-level def, class and assigned names of a module."""
     names = set()
@@ -140,17 +154,23 @@ def test_public_fields_sees_annotated_class_fields():
 
 
 def test_every_public_name_has_a_reader():
-    """Public names and class fields are read by the library, demos or benchmark."""
+    """Public names and class fields are read by the library, demos or benchmark.
+
+    A field counts as read only as an attribute, x.field, so that a local
+    variable of the same spelling cannot hide an unread field."""
     modules = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
     readers = [*modules, *(ROOT / "demos").glob("*.py")]
     readers.append(ROOT / "perfbench" / "workloads.py")
-    read = set().union(*(names_read(ast.parse(path.read_text())) for path in readers))
+    trees = [ast.parse(path.read_text()) for path in readers]
+    read = set().union(*map(names_read, trees))
+    fields = set().union(*map(attributes_read, trees))
     unread = sorted(
         f"{path.name}: {name}"
         for path in modules
         for tree in [ast.parse(path.read_text())]
-        for name in public_names(tree) | public_fields(tree)
-        if name.rpartition(".")[2] not in read
+        for names, seen in [(public_names(tree), read), (public_fields(tree), fields)]
+        for name in names
+        if name.rpartition(".")[2] not in seen
     )
     assert not unread, unread
 
