@@ -235,6 +235,9 @@ class MultiplicativeSieve:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
+        kinds = {(c.dtype.name, c.ndim, c.size) for c in (self.psi, self.sigma)}
+        if len(kinds) != 1 or kinds.pop()[:2] != ("int64", 1):
+            raise ValueError("psi and sigma must be 1-D int64 arrays of one length")
         self.psi.flags.writeable = self.sigma.flags.writeable = False
 
 

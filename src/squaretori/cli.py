@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice, takewhile
+from itertools import chain, islice, repeat, takewhile
+from math import gcd
 from typing import IO, Iterable, Sequence
 
 from . import arith, asymptotics, lattice
@@ -69,13 +70,20 @@ def _cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
-    is_cyclic = lattice.is_cyclic
-    rows = (  # an HnfLattice is the tuple (w, h, t), so + appends the flag
-        lat + (_BOOL[cyclic],)
-        for lat in lattice.enumerate_lattices(args.n)
-        if (cyclic := is_cyclic(lat)) or not args.cyclic_only
-    )
-    _emit(out, args.format, _ENUMERATE, rows)
+    # (w, h, t) is cyclic iff gcd(t, g) = 1 with g = gcd(w, h): one gcd per width
+    shapes = lattice._shapes(args.n)  # refuses before the header is written
+
+    def widths() -> Iterable[Iterable[tuple]]:
+        for w, h in shapes:
+            if (g := gcd(w, h)) == 1:
+                yield zip(repeat(w), repeat(h), range(w), repeat(_BOOL[True]))
+            else:
+                yield (
+                    (w, h, t, _BOOL[cyclic]) for t in range(w)
+                    if (cyclic := gcd(t, g) == 1) or not args.cyclic_only
+                )
+
+    _emit(out, args.format, _ENUMERATE, chain.from_iterable(widths()))
 
 
 def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> None:

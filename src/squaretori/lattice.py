@@ -173,22 +173,27 @@ def is_cyclic(lat: HnfLattice) -> bool:
     return gcd(lat.width, lat.height, lat.twist) == 1
 
 
-def enumerate_lattices(n: int) -> Iterator[HnfLattice]:
-    """All sublattices of index n as cylinder triples, lazily.
-
-    Yields exactly sigma(n) lattices, ordered by ascending width and then
-    ascending twist; filtering with is_cyclic leaves psi(n) of them.
-    Raises BudgetError up front when sigma(n) exceeds MAX_TRIPLES.
-    """
+def _shapes(n: int) -> list[tuple[int, int]]:
+    """Index-n cylinder shapes (w, h) by ascending w, within the MAX_TRIPLES budget."""
     n = _word(n)
     # sigma(n) >= n + 1 for n > 1, so a larger n is refused before it is factored
     total = sigma(f := factorize(n)) if n < MAX_TRIPLES else n + 1
     _budget(total, MAX_TRIPLES, "MAX_TRIPLES", f"index {n} needs at least %s triples")
+    return [(width, n // width) for width in divisors(f)]
+
+
+def enumerate_lattices(n: int) -> Iterator[HnfLattice]:
+    """All sublattices of index n as cylinder triples, lazily.
+
+    Yields exactly sigma(n) lattices by ascending width, then twist; is_cyclic
+    keeps psi(n) of them, and gcd(w, h, t) = gcd(t, gcd(w, h)) decides a width's
+    twists with one gcd. Raises BudgetError up front if sigma(n) > MAX_TRIPLES.
+    """
+    shapes = _shapes(n)
 
     def generate() -> Iterator[HnfLattice]:
         new = tuple.__new__  # skips validation: each width divides n, twist < width
-        for width in divisors(f):
-            height = n // width
+        for width, height in shapes:
             for twist in range(width):
                 yield new(HnfLattice, (width, height, twist))
 

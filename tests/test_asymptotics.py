@@ -575,6 +575,25 @@ def test_a_checked_sieve_cannot_be_changed_after_its_check():
 
 
 @pytest.mark.parametrize(
+    "psi, sigma",
+    [
+        (np.ones(2, np.int64), np.ones(7, np.int64)),
+        (np.ones(7, np.int64), np.ones(7, np.float32)),
+        (np.ones((2, 3), np.int64), np.ones((2, 3), np.int64)),
+    ],
+    ids=["length-mismatch", "float32", "2-D"],
+)
+def test_a_sieve_holds_two_int64_columns_of_one_length(psi, sigma):
+    # MultiplicativeSieve(np.ones(2, np.int64), np.ones(7, np.float32)) once
+    # constructed, and len(sv.psi) - 1 was then no limit of sv.sigma
+    with pytest.raises(ValueError, match="1-D int64 arrays of one length"):
+        MultiplicativeSieve(psi, sigma)
+    with pytest.raises(ValueError, match="1-D int64 arrays of one length"):
+        MultiplicativeSieve(sigma, psi)
+    assert psi.flags.writeable and sigma.flags.writeable  # refused before marking
+
+
+@pytest.mark.parametrize(
     "read", [partial_sums, qd2_partial_sum], ids=["partial_sums", "qd2"]
 )
 def test_a_hand_built_sieve_is_never_read(read):

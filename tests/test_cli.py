@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from squaretori import arith, asymptotics, cli
+from squaretori import arith, asymptotics, cli, lattice
 from squaretori.cli import main
 
 
@@ -72,6 +73,60 @@ def test_enumerate_cyclic_only(capsys):
     assert "2,2,0,false" not in rows
     code, out, err = run_cli(capsys, "--format", "csv", "enumerate", "4")
     assert len(out.splitlines()) == 1 + 7
+
+
+# every n up to 1500, then highly composite n, a prime power with many
+# non-coprime shapes (3^9), a square (32400) and a power of two (65536)
+PER_WIDTH_INDICES = [*range(1, 1501), 5040, 19683, 27720, 32400, 65536]
+
+
+def test_per_width_rows_match_the_object_route(monkeypatch):
+    # the CLI writes rows per width from gcd(w, h); enumerate_lattices and
+    # is_cyclic decide each row on its own, and the two must agree row by row
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda *args: emitted.append(list(args[3])))
+    for n in PER_WIDTH_INDICES:
+        every = [
+            (*lat, cli._BOOL[lattice.is_cyclic(lat)])
+            for lat in lattice.enumerate_lattices(n)
+        ]
+        cyclic = [row for row in every if row[3] == "true"]
+        for cyclic_only, expected in ((False, every), (True, cyclic)):
+            args = argparse.Namespace(n=n, format="csv", cyclic_only=cyclic_only)
+            cli._cmd_enumerate(args, None)
+            assert emitted.pop() == expected, (n, cyclic_only)
+
+
+# sha256 of the whole stdout of `enumerate 139104` (483840 rows over 160
+# widths), as the object route wrote it before rows were written per width
+ENUMERATE_139104_SHA256 = {
+    "csv": "ad9da840f76337cbf27085b9cb84bbab555818da32538db7d8689a86738d2e44",
+    "json": "b155051aca432c56a49f89a4bec6c39a4a2f4072f5a26a00fa0712ecd816651b",
+    "csv --cyclic-only":
+        "4e6ebc77f1959a107b2f902982bb65079b02bac136d0d142bc2bbe511db4e9bf",
+}
+
+
+@pytest.mark.parametrize("options", list(ENUMERATE_139104_SHA256))
+def test_enumerate_139104_is_byte_exact(capsys, options):
+    fmt, *flags = options.split()
+    code, out, err = run_cli(capsys, "--format", fmt, "enumerate", "139104", *flags)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_139104_SHA256[options]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("flags", [(), ("--cyclic-only",)], ids=["all", "cyclic"])
+def test_enumerate_makes_no_lattice_object(capsys, monkeypatch, fmt, flags):
+    argv = ("--format", fmt, "enumerate", "720", *flags)
+    expected = run_cli(capsys, *argv)
+
+    def refuse(*args):
+        raise AssertionError("the CLI builds enumerate rows from the widths")
+
+    monkeypatch.setattr(lattice, "is_cyclic", refuse)
+    monkeypatch.setattr(lattice, "enumerate_lattices", refuse)
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_classify_identity(capsys):
