@@ -1,7 +1,7 @@
 """Command-line front end: counting, enumeration, classification, sweeps.
 
 Every command writes deterministic, machine-readable output to stdout
-(plain text, CSV with a header row, or JSON lines; see ``_emit``) and
+(plain text, CSV with a header row, or JSON lines; see ``_template``) and
 diagnostics to stderr only. Exit codes: 0 success, 2 usage, 1 runtime.
 """
 
@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, islice, repeat, takewhile
+from itertools import compress, cycle, islice, takewhile
 from math import gcd
+from operator import add
 from typing import IO, Iterable, Sequence
 
 from . import arith, asymptotics, lattice
@@ -37,16 +38,15 @@ _SWEEP_FOOTER = {
 _BOOL = ("false", "true")
 
 
-def _emit(
-    out: IO[str], fmt: str, fields: Sequence[str], rows: Iterable, keyed: bool = False
-) -> None:
-    """Write rows, each a tuple in schema order, in the requested format.
+def _template(
+    out: IO[str], fmt: str, fields: Sequence[str], keyed: bool = False
+) -> str:
+    """Write the header of a table in the requested format; return the line template.
 
-    json writes one object per row. csv writes a header of field names,
-    then comma-separated rows. plain has two layouts: a keyed record
-    (count, classify) is one line of space-separated name=value pairs; a
-    table (enumerate, sweep, extremal) is a header of field names, then
-    space-separated columns.
+    A row is a tuple in schema order. json writes one object per row. csv writes
+    a header of field names, then comma-separated rows. plain has two layouts: a
+    keyed record (count, classify) is one line of space-separated name=value
+    pairs; a table (enumerate, sweep, extremal) is a header of names, then columns.
     """
     names = [field.partition(":")[0] for field in fields]
     specs = ["%" + (field.partition(":")[2] or "s") for field in fields]
@@ -59,7 +59,14 @@ def _emit(
         sep = "," if fmt == "csv" else " "
         out.write(sep.join(names) + "\n")
         template = sep.join(specs)
-    lines = map((template + "\n").__mod__, rows)
+    return template + "\n"
+
+
+def _emit(
+    out: IO[str], fmt: str, fields: Sequence[str], rows: Iterable, keyed: bool = False
+) -> None:
+    """Write rows, each a tuple in schema order, in the requested format."""
+    lines = map(_template(out, fmt, fields, keyed).__mod__, rows)
     while chunk := "".join(islice(lines, _CHUNK)):
         out.write(chunk)
 
@@ -70,20 +77,25 @@ def _cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
-    # (w, h, t) is cyclic iff gcd(t, g) = 1 with g = gcd(w, h): one gcd per width
+    # (w, h, t) is cyclic iff gcd(t, g) = 1 with g = gcd(w, h); g divides w, so
+    # the flag has period g in t. Each width cuts the line template once per
+    # flag, into the text before t and the text after it, and joins its twists.
     shapes = lattice._shapes(args.n)  # refuses before the header is written
-
-    def widths() -> Iterable[Iterable[tuple]]:
-        for w, h in shapes:
-            if (g := gcd(w, h)) == 1:
-                yield zip(repeat(w), repeat(h), range(w), repeat(_BOOL[True]))
-            else:
-                yield (
-                    (w, h, t, _BOOL[cyclic]) for t in range(w)
-                    if (cyclic := gcd(t, g) == 1) or not args.cyclic_only
-                )
-
-    _emit(out, args.format, _ENUMERATE, chain.from_iterable(widths()))
+    template = _template(out, args.format, _ENUMERATE)
+    for w, h in shapes:
+        g = gcd(w, h)
+        flags = [gcd(t, g) == 1 for t in range(g)]
+        cut = [(template % (w, h, "\0", flag)).split("\0") for flag in _BOOL]
+        (pre, false), (_, true) = cut
+        kept = compress(range(w), cycle(flags)) if args.cyclic_only else range(w)
+        twists = map(str, kept)
+        if g == 1 or args.cyclic_only:  # every row written is cyclic
+            sep, end = true + pre, true
+        else:  # each twist carries the text after it
+            twists = map(add, twists, cycle([(false, true)[f] for f in flags]))
+            sep, end = pre, ""
+        while part := sep.join(islice(twists, _CHUNK)):
+            out.write(pre + part + end)
 
 
 def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> None:

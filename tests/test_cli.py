@@ -1,10 +1,13 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -80,21 +83,39 @@ def test_enumerate_cyclic_only(capsys):
 PER_WIDTH_INDICES = [*range(1, 1501), 5040, 19683, 27720, 32400, 65536]
 
 
-def test_per_width_rows_match_the_object_route(monkeypatch):
-    # the CLI writes rows per width from gcd(w, h); enumerate_lattices and
-    # is_cyclic decide each row on its own, and the two must agree row by row
-    emitted = []
-    monkeypatch.setattr(cli, "_emit", lambda *args: emitted.append(list(args[3])))
+# the enumerate schema's header and row template, written out once by hand
+ENUMERATE_LAYOUT = {
+    "plain": ("w h t cyclic\n", "%s %s %s %s\n"),
+    "csv": ("w,h,t,cyclic\n", "%s,%s,%s,%s\n"),
+    "json": ("", '{"w":%s,"h":%s,"t":%s,"cyclic":%s}\n'),
+}
+
+
+def object_route_rows(n, cyclic_only=False):
+    """The (w, h, t, cyclic) rows of index n, each decided on its own."""
+    rows = [(*lat, lattice.is_cyclic(lat)) for lat in lattice.enumerate_lattices(n)]
+    return [(w, h, t, cli._BOOL[c]) for w, h, t, c in rows if c or not cyclic_only]
+
+
+def enumerate_into(out, n, fmt, cyclic_only):
+    args = argparse.Namespace(n=n, format=fmt, cyclic_only=cyclic_only)
+    cli._cmd_enumerate(args, out)
+    return out
+
+
+def test_per_width_rows_match_the_object_route():
+    # the CLI writes each width's rows as one join cut from gcd(w, h);
+    # enumerate_lattices and is_cyclic decide each row on its own, and the
+    # two texts must agree byte for byte
     for n in PER_WIDTH_INDICES:
-        every = [
-            (*lat, cli._BOOL[lattice.is_cyclic(lat)])
-            for lat in lattice.enumerate_lattices(n)
-        ]
+        every = object_route_rows(n)
         cyclic = [row for row in every if row[3] == "true"]
-        for cyclic_only, expected in ((False, every), (True, cyclic)):
-            args = argparse.Namespace(n=n, format="csv", cyclic_only=cyclic_only)
-            cli._cmd_enumerate(args, None)
-            assert emitted.pop() == expected, (n, cyclic_only)
+        for fmt in ("csv",) if n <= 1500 else ENUMERATE_LAYOUT:
+            header, template = ENUMERATE_LAYOUT[fmt]
+            for cyclic_only, rows in ((False, every), (True, cyclic)):
+                out = enumerate_into(io.StringIO(), n, fmt, cyclic_only)
+                expected = header + "".join(template % row for row in rows)
+                assert out.getvalue() == expected, (n, fmt, cyclic_only)
 
 
 # sha256 of the whole stdout of `enumerate 139104` (483840 rows over 160
@@ -457,6 +478,30 @@ def test_chunk_edges_are_byte_exact(fmt):
         assert [w.count("\n") for w in body] == [chunk] * full + [rest] * (rest > 0)
 
 
+# single widths (w = n, h = 1) of _CHUNK - 1, _CHUNK and _CHUNK + 1 rows; and
+# 3^9, whose g = 3 width of 6561 twists spans two chunks (3 does not divide _CHUNK)
+ENUMERATE_EDGES = (cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 3**9)
+
+
+@pytest.mark.parametrize("fmt", list(ENUMERATE_LAYOUT))
+@pytest.mark.parametrize("cyclic_only", [False, True], ids=["all", "cyclic"])
+def test_enumerate_chunk_edges_are_byte_exact(fmt, cyclic_only):
+    header, template = ENUMERATE_LAYOUT[fmt]
+    chunk = cli._CHUNK
+    for n in ENUMERATE_EDGES:
+        rows = object_route_rows(n, cyclic_only)
+        writes = enumerate_into(Writes(), n, fmt, cyclic_only)
+        assert "".join(writes) == header + "".join(template % row for row in rows), n
+        # after the header's own write, each width's rows come in writes of
+        # one chunk of lines, the last of them holding the rest
+        body = writes[1:] if header else writes
+        lines = []
+        for _, width in groupby(rows, key=itemgetter(0)):
+            full, rest = divmod(len(list(width)), chunk)
+            lines += [chunk] * full + [rest] * (rest > 0)
+        assert [w.count("\n") for w in body] == lines, n
+
+
 # sweeps whose last row sits on or next to a _CHUNK edge or a power of two
 FOOTER_EDGES = sorted({
     1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1,
@@ -492,6 +537,27 @@ def test_row_buffers_stay_flat_in_n():
                 tracemalloc.reset_peak()
                 before, _ = tracemalloc.get_traced_memory()
                 cli._emit(sink, "json", cli._SWEEP, rows)
+                _, peak = tracemalloc.get_traced_memory()
+                peaks.append((peak - before) / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 2.0, peaks
+    assert abs(peaks[1] - peaks[0]) <= 0.25, peaks
+
+
+@pytest.mark.parametrize("fmt", list(ENUMERATE_LAYOUT))
+def test_enumerate_buffers_stay_flat_in_n(fmt):
+    # a prime n has one width of n rows (w = n, h = 1); it is written one
+    # chunk of lines at a time, so its buffers do not grow with n
+    sizes = (65537, 131071)
+    peaks = []
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            for n in sizes:
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                enumerate_into(sink, n, fmt, False)
                 _, peak = tracemalloc.get_traced_memory()
                 peaks.append((peak - before) / 2**20)
         finally:
@@ -728,14 +794,19 @@ def test_module_entry_point(src_env):
     assert json.loads(result.stdout)["psi"] == 6
 
 
-def test_closed_pipe_exits_without_traceback(src_env):
+@pytest.mark.parametrize(
+    "argv,header",
+    [(("sweep", "200000"), b"n psi sigma"), (("enumerate", "720720"), b"w h t cyclic")],
+    ids=["sweep", "enumerate"],
+)
+def test_closed_pipe_exits_without_traceback(src_env, argv, header):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "squaretori", "sweep", "200000"],
+        [sys.executable, "-m", "squaretori", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=src_env,
     )
-    assert proc.stdout.readline().startswith(b"n psi sigma")
+    assert proc.stdout.readline().startswith(header)
     proc.stdout.close()
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
@@ -745,7 +816,12 @@ def test_closed_pipe_exits_without_traceback(src_env):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
-    "argv", [("count", "12"), ("--format", "json", "sweep", "100000")]
+    "argv",
+    [
+        ("count", "12"),
+        ("--format", "json", "sweep", "100000"),
+        ("--format", "csv", "enumerate", "720720"),
+    ],
 )
 def test_a_full_device_is_one_error_line(src_env, argv):
     with open("/dev/full", "w") as full:
