@@ -110,19 +110,19 @@ def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> None:
-    rows = asymptotics.sweep_stream(args.n)  # refuses before the header is written
-    _emit(out, args.format, _SWEEP, ((last := row) for row in rows))
-    final = last[-1]  # the last row's cum_ratio; n >= 1, so there is one
+    # sweep_stream refuses at the call, before _emit writes the header; the
+    # footer's sublinear sums equal the last row's sieve sums
+    _emit(out, args.format, _SWEEP, asymptotics.sweep_stream(args.n))
+    final = asymptotics.partial_sums(args.n).cum_ratio
     deviation = abs(final - asymptotics.INV_ZETA4)
     out.write(_SWEEP_FOOTER[args.format] % (final, deviation))
 
 
 def _cmd_extremal(args: argparse.Namespace, out: IO[str]) -> None:
     rho = asymptotics.extremal_sequence_rho
-    last = rho(args.kmax)  # refuses a kmax out of its range before any other work
-    values = [rho(k) for k in range(1, args.kmax)] + [last]
+    rho(args.kmax)  # refuses a kmax out of its range before any other work
     inv_z2 = asymptotics.INV_ZETA2
-    rows = [(k, v, v - inv_z2) for k, v in enumerate(values, 1)]
+    rows = [(k, v, v - inv_z2) for k in range(1, args.kmax + 1) for v in [rho(k)]]
     _emit(out, args.format, _EXTREMAL, rows)
 
 

@@ -187,17 +187,11 @@ def enumerate_lattices(n: int) -> Iterator[HnfLattice]:
 
     Yields exactly sigma(n) lattices by ascending width, then twist; is_cyclic
     keeps psi(n) of them, and gcd(w, h, t) = gcd(t, gcd(w, h)) decides a width's
-    twists with one gcd. Raises BudgetError up front if sigma(n) > MAX_TRIPLES.
+    twists with one gcd. Refuses at the call (BudgetError if sigma(n) > MAX_TRIPLES).
     """
-    shapes = _shapes(n)
-
-    def generate() -> Iterator[HnfLattice]:
-        new = tuple.__new__  # skips validation: each width divides n, twist < width
-        for width, height in shapes:
-            for twist in range(width):
-                yield new(HnfLattice, (width, height, twist))
-
-    return generate()
+    new = tuple.__new__  # skips validation: each width divides n, twist < width
+    # a generator expression evaluates its first iterable, _shapes(n), at once
+    return (new(HnfLattice, (w, h, t)) for w, h in _shapes(n) for t in range(w))
 
 
 def to_permutation_pair(lat: HnfLattice) -> tuple[list[int], list[int]]:

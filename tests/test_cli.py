@@ -510,10 +510,11 @@ FOOTER_EDGES = sorted({
 
 
 @pytest.mark.parametrize("fmt", list(SWEEP_LAYOUT))
-def test_the_footer_is_the_sum_routes_ratio(capsys, fmt):
-    # the footer takes the last streamed row's cum_ratio; partial_sums sums
-    # the sieve's columns on its own, and the last row and the footer must
-    # both print its sums
+def test_the_footer_is_the_sum_routes_ratio(capsys, monkeypatch, fmt):
+    # the last row sums the sieve's columns and the footer takes partial_sums'
+    # sublinear sums; both must print the same sums. Blocks of 2**13 rows put
+    # the edges 8192 and 8193 on either side of a sieve block's end
+    monkeypatch.setattr(asymptotics, "_BLOCK", 2**13)
     template = SWEEP_LAYOUT[fmt][1]
     for n in FOOTER_EDGES:
         code, out, err = run_cli(capsys, "--format", fmt, "sweep", str(n))

@@ -1,8 +1,10 @@
 """House style of the library source, checked here because no linter is set up."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
+from squaretori import asymptotics, lattice
 from squaretori.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -173,6 +175,19 @@ def test_every_public_name_has_a_reader():
         if name.rpartition(".")[2] not in seen
     )
     assert not unread, unread
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    """The traced run wraps library names through module attributes, such as
+    asymptotics.sieve_multiplicative and lattice.factorize, so each must stay."""
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = asymptotics.partial_sums, lattice.enumerate_lattices
+    with tracing.Tracer().installed():  # AttributeError if a wrapped name is gone
+        assert asymptotics.partial_sums is not before[0]
+    assert (asymptotics.partial_sums, lattice.enumerate_lattices) == before
 
 
 def test_every_private_name_has_a_reader():
