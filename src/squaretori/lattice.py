@@ -186,12 +186,10 @@ def enumerate_lattices(n: int) -> Iterator[HnfLattice]:
     """All sublattices of index n as cylinder triples, lazily.
 
     Yields exactly sigma(n) lattices by ascending width, then twist; is_cyclic
-    keeps psi(n) of them, and gcd(w, h, t) = gcd(t, gcd(w, h)) decides a width's
-    twists with one gcd. Refuses at the call (BudgetError if sigma(n) > MAX_TRIPLES).
+    keeps psi(n) of them. Refuses at the call (BudgetError if sigma(n) >
+    MAX_TRIPLES): a generator expression runs its first iterable, _shapes(n), at once.
     """
-    new = tuple.__new__  # skips validation: each width divides n, twist < width
-    # a generator expression evaluates its first iterable, _shapes(n), at once
-    return (new(HnfLattice, (w, h, t)) for w, h in _shapes(n) for t in range(w))
+    return (HnfLattice(w, h, t) for w, h in _shapes(n) for t in range(w))
 
 
 def to_permutation_pair(lat: HnfLattice) -> tuple[list[int], list[int]]:

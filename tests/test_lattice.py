@@ -16,6 +16,7 @@ from oracles import (
     perms_commute,
     same_lattice,
 )
+from squaretori import lattice
 from squaretori.arith import BudgetError, dedekind_psi, divisors, factorize, sigma
 from squaretori.lattice import (
     GeneratorPair,
@@ -306,6 +307,13 @@ def test_enumerate_matches_validated_construction(n):
     lats = list(enumerate_lattices(n))
     assert lats == validated
     assert all(type(lat) is HnfLattice for lat in lats)
+
+
+def test_enumerate_checks_every_lattice_it_builds(monkeypatch):
+    # a shape no index has: width 2 over height 0 must not pass as (2, 0, 0)
+    monkeypatch.setattr(lattice, "_shapes", lambda n: [(2, 0)])
+    with pytest.raises(ValueError, match="height must be >= 1, got 0"):
+        list(enumerate_lattices(4))
 
 
 def test_enumerate_budget():
