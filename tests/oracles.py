@@ -26,6 +26,16 @@ def brute_is_squarefree(n):
     return all(n % (d * d) for d in range(2, isqrt(n) + 1))
 
 
+def primes_up_to(m):
+    """Primes <= m by the sieve of Eratosthenes on a bytearray."""
+    marks = bytearray([1]) * (m + 1)
+    marks[:2] = b"\0\0"
+    for p in range(2, isqrt(m) + 1):
+        if marks[p]:
+            marks[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    return [p for p, flag in enumerate(marks) if flag]
+
+
 def squarefree_mask(limit):
     """Boolean array: entry n is True for square-free n >= 1, entry 0 False.
 
@@ -65,20 +75,19 @@ def brute_psi_triples(n):
 
 
 def linear_sieve(limit):
-    """Smallest-prime-factor linear sieve: (psi, sigma, phi, squarefree).
+    """Smallest-prime-factor linear sieve: (psi, sigma, squarefree).
 
     Every composite is struck exactly once (O(limit) work). Multiplicative
     values extend along the sieve by tracking the power of the smallest
-    prime factor. Arrays have length limit + 1 with index 0 zero; the
-    first three are int64, squarefree is uint8.
+    prime factor. Arrays have length limit + 1 with index 0 zero; psi and
+    sigma are int64, squarefree is uint8.
     """
     spf = [0] * (limit + 1)
     low = [0] * (limit + 1)  # p^v where p = spf(n) and p^v || n
     psi = [0] * (limit + 1)
     sig = [0] * (limit + 1)
-    phi = [0] * (limit + 1)
     sqf = [0] * (limit + 1)
-    psi[1] = sig[1] = phi[1] = sqf[1] = low[1] = 1
+    psi[1] = sig[1] = sqf[1] = low[1] = 1
     primes: list[int] = []
     for i in range(2, limit + 1):
         if spf[i] == 0:
@@ -86,7 +95,6 @@ def linear_sieve(limit):
             primes.append(i)
             psi[i] = i + 1
             sig[i] = i + 1
-            phi[i] = i - 1
             sqf[i] = 1
             low[i] = i
         for p in primes:
@@ -97,20 +105,17 @@ def linear_sieve(limit):
             if i % p == 0:
                 low[ip] = low[i] * p
                 psi[ip] = psi[i] * p
-                phi[ip] = phi[i] * p
                 # peel the p-power part: sigma(i*p) = p*sigma(i) + sigma(i/p^v)
                 sig[ip] = sig[i] * p + sig[i // low[i]]
                 sqf[ip] = 0
             else:
                 low[ip] = p
                 psi[ip] = psi[i] * (p + 1)
-                phi[ip] = phi[i] * (p - 1)
                 sig[ip] = sig[i] * (p + 1)
                 sqf[ip] = sqf[i]
     return (
         np.array(psi, dtype=np.int64),
         np.array(sig, dtype=np.int64),
-        np.array(phi, dtype=np.int64),
         np.array(sqf, dtype=np.uint8),
     )
 

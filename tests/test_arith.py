@@ -263,28 +263,6 @@ def test_multiplicative_on_all_coprime_pairs():
 
 # --- overflow handling ------------------------------------------------------
 
-def test_psi_overflow_is_reported():
-    n = 3 * 2**61  # psi(n) = 2n, past the 64-bit bound
-    assert n <= WORD_BOUND
-    with pytest.raises(OverflowError):
-        dedekind_psi(factorize(n))
-
-
-def test_sigma_overflow_is_reported():
-    with pytest.raises(OverflowError):
-        sigma(factorize(3 * 2**61))
-
-
-@pytest.mark.parametrize(
-    "route", [lambda n: dedekind_psi(factorize(n)), psi_via_cylinders, psi_prime]
-)
-def test_every_psi_route_reports_overflow_alike(route):
-    message = "psi(6917529027641081856) = 13835058055282163712 leaves the 64-bit range"
-    with pytest.raises(OverflowError) as info:
-        route(3 * 2**61)
-    assert str(info.value) == message
-
-
 def test_large_values_still_exact_below_bound():
     n = 2**62
     assert psi_of(n) == 2**61 * 3
@@ -315,7 +293,7 @@ def test_sieve_matches_single_values(sieve_100k):
 
 
 def assert_matches_linear_sieve(sv, reference):
-    psi, sig, _phi, sqf = reference  # the sieve keeps no phi column
+    psi, sig, sqf = reference
     for got, want in zip((sv.psi, sv.sigma), (psi, sig)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want[: len(sv.psi)]), len(sv.psi) - 1

@@ -19,6 +19,7 @@ from oracles import (
     divisor_sum_psi,
     divisor_sum_sigma,
     linear_sieve,
+    primes_up_to,
     squarefree_mask,
     zeta_series,
 )
@@ -205,16 +206,6 @@ def test_extremal_sequence_stays_above_liminf():
         assert deviations[k] < deviations[k - 1], k
 
 
-def primes_up_to(m):
-    """Primes <= m by a plain sieve of Eratosthenes, independent of the library."""
-    marks = bytearray([1]) * (m + 1)
-    marks[:2] = b"\0\0"
-    for p in range(2, math.isqrt(m) + 1):
-        if marks[p]:
-            marks[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
-    return [p for p in range(m + 1) if marks[p]]
-
-
 def test_extremal_gap_lies_in_a_proven_bracket():
     """gap(k) = rho(n_k) - 6/pi^2 = (6/pi^2) * expm1(A + B), where
 
@@ -362,7 +353,7 @@ OFFSET_LIMITS = (1, 2, 3, 4, 63, 64, 65, 960, 961, 962, 2047, 2048, 2049, 2401, 
 
 @pytest.fixture(scope="module")
 def oracle_rows():
-    psi, sig, _, _ = linear_sieve(max(OFFSET_LIMITS))
+    psi, sig, _ = linear_sieve(max(OFFSET_LIMITS))
     rows = []
     cum_psi = cum_sigma = 0
     for n in range(1, len(psi)):
@@ -418,16 +409,6 @@ def test_rho_bounds_over_sieved_range(sieve_million):
     assert bool((exact_ones == squarefree_mask(len(sv.psi) - 1)[1:]).all())
 
 
-def plain_primes(limit):
-    """The primes up to limit by the sieve of Eratosthenes on a bytearray."""
-    is_prime = bytearray([1]) * (limit + 1)
-    is_prime[:2] = b"\0\0"
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return [p for p, flag in enumerate(is_prime) if flag]
-
-
 def test_the_mean_of_rho_is_an_euler_product(sieve_million):
     # the second average of rho: (1/N) sum rho(n) -> M = prod over p of
     # (1 - 1/p)(1 + sum_a rho(p^a)/p^a) (Wintner 1943), with
@@ -436,7 +417,7 @@ def test_the_mean_of_rho_is_an_euler_product(sieve_million):
     # The factors of p > 10^6 differ from 1 by O(p^-4): M is exact to 1e-12
     n = len(sieve_million.psi) - 1
     logs = []
-    for p in plain_primes(n):
+    for p in primes_up_to(n):
         tail, q = 0.0, p**3
         while q < 2**80:  # a term below 2^-80 cannot move M at 1e-12
             tail += 1 / (q - 1)

@@ -6,13 +6,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 
 import pytest
 
 from squaretori import arith, asymptotics, cli, lattice
 from squaretori.cli import main
+
+FORMATS = ("plain", "csv", "json")
 
 
 def run_cli(capsys, *argv):
@@ -31,52 +33,7 @@ def census_row(n):
     return (n, r.psi, r.sigma, r.value, *asymptotics.partial_sums(n))
 
 
-# --- goldens ---------------------------------------------------------------
-
-def test_count_plain(capsys):
-    code, out, err = run_cli(capsys, "count", "4")
-    assert code == 0 and err == ""
-    assert out == "n=4 psi=6 sigma=7 rho=0.857142857143\n"
-
-
-def test_count_csv(capsys):
-    code, out, err = run_cli(capsys, "--format", "csv", "count", "12")
-    assert code == 0 and err == ""
-    assert out == "n,psi,sigma,rho\n12,24,28,0.857142857143\n"
-
-
-def test_count_json(capsys):
-    code, out, err = run_cli(capsys, "--format", "json", "count", "1")
-    assert code == 0 and err == ""
-    payload = json.loads(out)
-    assert payload == {"n": 1, "psi": 1, "sigma": 1, "rho": 1}
-
-
-def test_enumerate_one(capsys):
-    code, out, err = run_cli(capsys, "enumerate", "1")
-    assert code == 0 and err == ""
-    assert out == "w h t cyclic\n1 1 0 true\n"
-
-
-def test_enumerate_two_all_cyclic(capsys):
-    code, out, err = run_cli(capsys, "--format", "csv", "enumerate", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "w,h,t,cyclic"
-    assert lines[1:] == ["1,2,0,true", "2,1,0,true", "2,1,1,true"]
-
-
-def test_enumerate_cyclic_only(capsys):
-    code, out, err = run_cli(
-        capsys, "--format", "csv", "enumerate", "4", "--cyclic-only"
-    )
-    assert code == 0
-    rows = out.splitlines()[1:]
-    assert len(rows) == 6
-    assert "2,2,0,false" not in rows
-    code, out, err = run_cli(capsys, "--format", "csv", "enumerate", "4")
-    assert len(out.splitlines()) == 1 + 7
-
+# --- enumerate rows and extremal deviations --------------------------------
 
 # every n up to 1500, then highly composite n, a prime power with many
 # non-coprime shapes (3^9), a square (32400) and a power of two (65536)
@@ -136,7 +93,7 @@ def test_enumerate_139104_is_byte_exact(capsys, options):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_139104_SHA256[options]
 
 
-@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("flags", [(), ("--cyclic-only",)], ids=["all", "cyclic"])
 def test_enumerate_makes_no_lattice_object(capsys, monkeypatch, fmt, flags):
     argv = ("--format", fmt, "enumerate", "720", *flags)
@@ -148,61 +105,6 @@ def test_enumerate_makes_no_lattice_object(capsys, monkeypatch, fmt, flags):
     monkeypatch.setattr(lattice, "is_cyclic", refuse)
     monkeypatch.setattr(lattice, "enumerate_lattices", refuse)
     assert run_cli(capsys, *argv) == expected
-
-
-def test_classify_identity(capsys):
-    code, out, err = run_cli(capsys, "classify", "1", "0", "0", "1")
-    assert code == 0
-    assert parse_plain(out.strip()) == {
-        "w": "1", "h": "1", "t": "0", "n": "1", "content": "1",
-        "d1": "1", "d2": "1", "cyclic": "true",
-    }
-
-
-def test_classify_doubled_lattice(capsys):
-    code, out, err = run_cli(capsys, "classify", "2", "0", "0", "2")
-    assert code == 0
-    values = parse_plain(out.strip())
-    assert values["n"] == "4" and values["content"] == "2"
-    assert (values["d1"], values["d2"]) == ("2", "2")
-    assert values["cyclic"] == "false"
-
-
-def test_classify_reduction(capsys):
-    code, out, err = run_cli(capsys, "classify", "0", "2", "3", "1")
-    assert code == 0
-    values = parse_plain(out.strip())
-    assert (values["w"], values["h"], values["t"]) == ("6", "1", "3")
-    assert values["n"] == "6" and values["content"] == "1"
-    assert values["cyclic"] == "true"
-
-
-def test_sweep_one(capsys):
-    code, out, err = run_cli(capsys, "sweep", "1")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[1] == "1 1 1 1 1 1 1"
-    assert lines[2].startswith("final cum_ratio=1 ")
-
-
-def test_sweep_ten_csv(capsys):
-    code, out, err = run_cli(capsys, "--format", "csv", "sweep", "10")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "n,psi,sigma,rho,cum_psi,cum_sigma,cum_ratio"
-    assert lines[1] == "1,1,1,1,1,1,1"
-    assert lines[4] == "4,6,7,0.857142857143,14,15,0.933333333333"
-    assert lines[10] == "10,18,18,1,82,87,0.942528735632"
-    assert lines[11] == "# final cum_ratio=0.942528735632 deviation=0.0185903327106"
-
-
-def test_extremal_table(capsys):
-    code, out, err = run_cli(capsys, "--format", "csv", "extremal", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "k,rho,deviation"
-    assert lines[1].startswith("1,1,")
-    assert lines[2].startswith("2,0.791208791209,")
 
 
 def test_extremal_deviations_decrease(capsys):
@@ -278,6 +180,12 @@ def test_sweep_formats_agree(capsys):
 # --- byte-exact goldens: every command in every format ---------------------
 
 GOLDEN = {
+    (("count", "1"), "json"): (
+        '{"n":1,"psi":1,"sigma":1,"rho":1}\n'
+    ),
+    (("count", "4"), "plain"): (
+        "n=4 psi=6 sigma=7 rho=0.857142857143\n"
+    ),
     (("count", "12"), "plain"): (
         "n=12 psi=24 sigma=28 rho=0.857142857143\n"
     ),
@@ -287,6 +195,16 @@ GOLDEN = {
     ),
     (("count", "12"), "json"): (
         '{"n":12,"psi":24,"sigma":28,"rho":0.857142857143}\n'
+    ),
+    (("enumerate", "1"), "plain"): (
+        "w h t cyclic\n"
+        "1 1 0 true\n"
+    ),
+    (("enumerate", "2"), "csv"): (
+        "w,h,t,cyclic\n"
+        "1,2,0,true\n"
+        "2,1,0,true\n"
+        "2,1,1,true\n"
     ),
     (("enumerate", "4"), "plain"): (
         "w h t cyclic\n"
@@ -343,6 +261,15 @@ GOLDEN = {
         '{"w":4,"h":1,"t":2,"cyclic":true}\n'
         '{"w":4,"h":1,"t":3,"cyclic":true}\n'
     ),
+    (("classify", "1", "0", "0", "1"), "plain"): (
+        "w=1 h=1 t=0 n=1 content=1 d1=1 d2=1 cyclic=true\n"
+    ),
+    (("classify", "2", "0", "0", "2"), "plain"): (
+        "w=2 h=2 t=0 n=4 content=2 d1=2 d2=2 cyclic=false\n"
+    ),
+    (("classify", "0", "2", "3", "1"), "plain"): (
+        "w=6 h=1 t=3 n=6 content=1 d1=1 d2=6 cyclic=true\n"
+    ),
     (("classify", "2", "4", "1", "5"), "plain"): (
         "w=6 h=1 t=5 n=6 content=1 d1=1 d2=6 cyclic=true\n"
     ),
@@ -352,6 +279,11 @@ GOLDEN = {
     ),
     (("classify", "2", "4", "1", "5"), "json"): (
         '{"w":6,"h":1,"t":5,"n":6,"content":1,"d1":1,"d2":6,"cyclic":true}\n'
+    ),
+    (("sweep", "1"), "plain"): (
+        "n psi sigma rho cum_psi cum_sigma cum_ratio\n"
+        "1 1 1 1 1 1 1\n"
+        "final cum_ratio=1 deviation=0.0760615970784\n"
     ),
     (("sweep", "10"), "plain"): (
         "n psi sigma rho cum_psi cum_sigma cum_ratio\n"
@@ -627,73 +559,6 @@ def test_only_the_sieve_loads_numpy(capsys, src_env, argv):
 
 # --- errors and exit codes -----------------------------------------------------
 
-def test_zero_is_a_domain_error(capsys):
-    for command in ("count", "sweep"):  # a sweep is refused before its header
-        code, out, err = run_cli(capsys, "--format", "plain", command, "0")
-        assert code == 1 and out == "" and err != ""
-
-
-def test_overflow_is_reported(capsys):
-    code, out, err = run_cli(capsys, "count", str(3 * 2**61))
-    assert code == 1 and "error" in err
-
-
-def test_overflow_at_the_largest_input(capsys):
-    code, out, err = run_cli(capsys, "count", "9223372036854775807")
-    assert code == 1 and out == ""
-    assert err == (
-        "error: psi(9223372036854775807) = 10801620952394481664"
-        " leaves the 64-bit range\n"
-    )
-    code, out, err = run_cli(capsys, "count", "9223372036854775808")  # one past it
-    assert code == 1 and out == ""
-    assert err == "error: n = 9223372036854775808 leaves the 64-bit range\n"
-
-
-def test_rank_error_exit(capsys):
-    code, out, err = run_cli(capsys, "classify", "1", "0", "2", "0")
-    assert code == 1 and err != ""
-
-
-def test_classify_outside_64_bits_exit(capsys):
-    code, out, err = run_cli(capsys, "classify", str(2**40), "0", "0", str(2**40))
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_enumeration_budget_exit(capsys):
-    code, out, err = run_cli(capsys, "enumerate", "4611686018427387904")  # 2**62
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert err.endswith(", over the MAX_TRIPLES budget of 10000000\n")
-    with pytest.raises(SystemExit) as usage:  # the budget is not an option
-        main(["--max-triples", "3", "enumerate", "12"])
-    assert usage.value.code == 2
-
-
-def test_sieve_budget_exit(capsys):
-    # refused before numpy loads and before the header is written
-    code, out, err = run_cli(capsys, "--format", "plain", "sweep", "10000001")
-    assert code == 1 and out == ""
-    assert err == (
-        "error: a sieve of 10000001 entries, over the MAX_SIEVE budget of 10000000\n"
-    )
-    with pytest.raises(SystemExit) as usage:  # the budget is not an option
-        main(["--max-sieve", "3", "sweep", "12"])
-    assert usage.value.code == 2
-
-
-def test_failed_allocation_exit(capsys, monkeypatch):
-    # stands in for numpy's _ArrayMemoryError without allocating anything
-    def refuse(limit):
-        raise MemoryError("Unable to allocate 7.28 PiB for an array")
-
-    monkeypatch.setattr(asymptotics, "sieve_multiplicative", refuse)
-    code, out, err = run_cli(capsys, "sweep", "10")
-    assert code == 1 and out == ""
-    assert err == "error: Unable to allocate 7.28 PiB for an array\n"
-
-
 def test_a_failure_in_a_later_block_is_reported(capsys, monkeypatch):
     # only the first block is sieved before any row; a later one that fails
     # ends the rows already written with an error, and no footer
@@ -716,21 +581,54 @@ def test_a_failure_in_a_later_block_is_reported(capsys, monkeypatch):
     assert all(row.count(" ") == 6 for row in rows)  # no footer, no cut line
 
 
-SWEEP_REFUSALS = {
-    "0": "limit must be >= 1, got 0",
-    "-3": "limit must be >= 1, got -3",
-    "9223372036854775808": "limit = 9223372036854775808 leaves the 64-bit range",
-    "10000001": "a sieve of 10000001 entries, over the MAX_SIEVE budget of 10000000",
+# argv -> what a refused command writes to stderr after "error: ". Each is
+# refused before any output, so no format writes a header or a partial table
+REFUSED = {
+    ("count", "0"): "n must be >= 1, got 0",
+    ("count", str(3 * 2**61)):
+        "psi(6917529027641081856) = 13835058055282163712 leaves the 64-bit range",
+    ("count", "9223372036854775807"):  # the largest input
+        "psi(9223372036854775807) = 10801620952394481664 leaves the 64-bit range",
+    ("count", "9223372036854775808"): "n = 9223372036854775808 leaves the 64-bit range",
+    ("enumerate", "4611686018427387904"): (  # 2**62
+        "index 4611686018427387904 needs at least 4611686018427387905 triples,"
+        " over the MAX_TRIPLES budget of 10000000"
+    ),
+    ("classify", "1", "0", "2", "0"):
+        "generators (1, 0) and (2, 0) are linearly dependent",
+    ("classify", str(2**40), "0", "0", str(2**40)): "generators leave the 64-bit range",
+    ("sweep", "0"): "limit must be >= 1, got 0",
+    ("sweep", "-3"): "limit must be >= 1, got -3",
+    ("sweep", "9223372036854775808"):
+        "limit = 9223372036854775808 leaves the 64-bit range",
+    ("sweep", "10000001"):
+        "a sieve of 10000001 entries, over the MAX_SIEVE budget of 10000000",
+    ("extremal", "0"): "k must be >= 1, got 0",
+    ("extremal", "51"): "k must be in [1, 50], got 51",
+    # kmax is checked first, not k = 51 after fifty values
+    ("extremal", "100"): "k must be in [1, 50], got 100",
+    ("extremal", "9223372036854775808"):
+        "k = 9223372036854775808 leaves the 64-bit range",
 }
 
 
-@pytest.mark.parametrize("fmt", list(SWEEP_LAYOUT))
-def test_a_refused_sweep_writes_no_header(capsys, monkeypatch, fmt):
-    # sweep_stream refuses at the call, so no format gets as far as its header
-    for n, message in SWEEP_REFUSALS.items():
-        code, out, err = run_cli(capsys, "--format", fmt, "sweep", n)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", list(REFUSED), ids=" ".join)
+def test_a_refusal_is_one_error_line(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert (code, out, err) == (1, "", f"error: {REFUSED[argv]}\n")
 
+
+def test_every_command_has_goldens_and_a_refusal():
+    # a new command or format lands with its byte-exact output and a refusal
+    commands = [name for name, *_ in cli._COMMANDS]
+    assert {(argv[0], fmt) for argv, fmt in GOLDEN} == set(product(commands, FORMATS))
+    assert {argv[0] for argv in REFUSED} == set(commands)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_refused_sweep_writes_no_header(capsys, monkeypatch, fmt):
+    # stands in for numpy's _ArrayMemoryError without allocating anything
     def refuse(limit):
         raise MemoryError("Unable to allocate 7.28 PiB for an array")
 
@@ -740,27 +638,13 @@ def test_a_refused_sweep_writes_no_header(capsys, monkeypatch, fmt):
     assert err == "error: Unable to allocate 7.28 PiB for an array\n"
 
 
-def test_extremal_range_exit(capsys):
-    # must refuse up front: no partial table on stdout
-    code, out, err = run_cli(capsys, "extremal", "51")
-    assert code == 1 and err != "" and out == ""
-    code, out, err = run_cli(capsys, "extremal", "0")
-    assert code == 1 and err != "" and out == ""
-
-
-def test_extremal_refusal_names_the_kmax_given(capsys):
-    # kmax is checked first, not k = 51 after fifty values
-    for kmax, message in (
-        ("100", "k must be in [1, 50], got 100"),
-        ("9223372036854775808", "k = 9223372036854775808 leaves the 64-bit range"),
-    ):
-        code, out, err = run_cli(capsys, "extremal", kmax)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
-
-
 def test_an_unknown_option_is_named(capsys):
     # a value after the unknown option must not be read as the command
-    for argv in (["--max-sieve", "3", "sweep", "12"], ["--bogus", "sweep", "12"]):
+    for argv in (
+        ["--max-sieve", "3", "sweep", "12"],
+        ["--max-triples", "3", "enumerate", "12"],
+        ["--bogus", "sweep", "12"],
+    ):
         with pytest.raises(SystemExit) as usage:
             main(argv)
         captured = capsys.readouterr()
